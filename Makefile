@@ -16,9 +16,10 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent packages (the worker pool, the
-# shared caches, and the scatter-gather gateway); CI runs the same set.
+# shared caches and warm store, the path DAG scheduler, the server, and
+# the scatter-gather gateway); CI runs the same set.
 race:
-	$(GO) test -race ./internal/clarinet/... ./internal/core/... ./internal/noised/... ./internal/noisegw/...
+	$(GO) test -race ./internal/clarinet/... ./internal/engine/... ./internal/warmstore/... ./internal/pathnoise/... ./internal/noised/... ./internal/noisegw/...
 
 # Fault-injected batch smoke under the race detector: seeded
 # convergence failures, one panic, one stalled net, plus the journal

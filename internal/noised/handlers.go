@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"regexp"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/clarinet"
-	"repro/internal/colblob"
 	"repro/internal/delaynoise"
 	"repro/internal/noiseerr"
+	"repro/internal/pathnoise"
 	"repro/internal/resilience"
 	"repro/internal/workload"
 )
@@ -94,175 +94,165 @@ func (s *Server) unavailable(w http.ResponseWriter, reason string) {
 	http.Error(w, reason, http.StatusServiceUnavailable)
 }
 
-// analyzeOptions are the per-request knobs parsed from the query
-// string, overlaid on the server's configured defaults.
-type analyzeOptions struct {
-	hold       delaynoise.HoldModel
-	align      delaynoise.AlignMethod
-	rescue     bool
-	netTimeout time.Duration
-	timeout    time.Duration
-	requestID  string
+// Options are the per-request knobs of the analyze endpoints, parsed
+// from the query string and the X-Request-ID header over a caller's
+// defaults. The server overlays its configured defaults; a gateway
+// parses with zero defaults to validate what it forwards, so the two
+// accept and reject exactly the same requests.
+type Options struct {
+	Hold       delaynoise.HoldModel
+	Align      delaynoise.AlignMethod
+	Rescue     bool
+	NetTimeout time.Duration
+	Timeout    time.Duration
+	RequestID  string
+
+	// The analyze-path knobs.
+	PathIterations int
+	PathTimeout    time.Duration
+
+	// Forward holds every recognized analysis parameter exactly as
+	// received (request_id excluded), for a gateway to pass on.
+	Forward url.Values
 }
 
-// parseAnalyzeOptions validates the query parameters of an analyze
-// request against the server defaults.
-func (s *Server) parseAnalyzeOptions(r *http.Request) (analyzeOptions, error) {
+// optionParsers is the analyze query surface in one table: each entry
+// parses its parameter into Options; path marks the analyze-path-only
+// knobs, which /v1/analyze ignores.
+var optionParsers = []struct {
+	key   string
+	path  bool
+	parse func(o *Options, v string) error
+}{
+	{"hold", false, func(o *Options, v string) (err error) { o.Hold, err = clarinet.ParseHold(v); return err }},
+	{"align", false, func(o *Options, v string) (err error) { o.Align, err = clarinet.ParseAlign(v); return err }},
+	{"rescue", false, func(o *Options, v string) (err error) {
+		if o.Rescue, err = strconv.ParseBool(v); err != nil {
+			return noiseerr.Invalidf("noised: bad rescue %q: %w", v, err)
+		}
+		return nil
+	}},
+	{"net_timeout", false, func(o *Options, v string) (err error) {
+		o.NetTimeout, err = parseDuration("net_timeout", v)
+		return err
+	}},
+	{"timeout", false, func(o *Options, v string) (err error) {
+		o.Timeout, err = parseDuration("timeout", v)
+		return err
+	}},
+	{"path_iterations", true, func(o *Options, v string) error {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 || n > maxPathIterations {
+			return noiseerr.Invalidf("noised: bad path_iterations %q (want 1..%d)", v, maxPathIterations)
+		}
+		o.PathIterations = n
+		return nil
+	}},
+	{"path_timeout", true, func(o *Options, v string) (err error) {
+		o.PathTimeout, err = parseDuration("path_timeout", v)
+		return err
+	}},
+}
+
+// parseDuration reads a non-negative duration knob.
+func parseDuration(key, v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, noiseerr.Invalidf("noised: bad %s %q", key, v)
+	}
+	return d, nil
+}
+
+// ParseOptions validates the query parameters of an analyze request
+// over def. paths adds the analyze-path knobs. A positive maxTimeout
+// caps Timeout and applies when the request sends none.
+func ParseOptions(r *http.Request, def Options, paths bool, maxTimeout time.Duration) (Options, error) {
 	q := r.URL.Query()
-	opt := analyzeOptions{
-		hold:       s.cfg.Hold,
-		align:      s.cfg.Align,
-		rescue:     s.cfg.Resilience.Enabled(),
-		netTimeout: s.cfg.NetTimeout,
-	}
-	if v := q.Get("hold"); v != "" {
-		h, err := clarinet.ParseHold(v)
-		if err != nil {
+	opt := def
+	opt.Forward = url.Values{}
+	for _, p := range optionParsers {
+		v := q.Get(p.key)
+		if v == "" || (p.path && !paths) {
+			continue
+		}
+		if err := p.parse(&opt, v); err != nil {
 			return opt, err
 		}
-		opt.hold = h
+		opt.Forward.Set(p.key, v)
 	}
-	if v := q.Get("align"); v != "" {
-		a, err := clarinet.ParseAlign(v)
-		if err != nil {
-			return opt, err
-		}
-		opt.align = a
+	if maxTimeout > 0 && (opt.Timeout <= 0 || opt.Timeout > maxTimeout) {
+		opt.Timeout = maxTimeout
 	}
-	if v := q.Get("rescue"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return opt, noiseerr.Invalidf("noised: bad rescue %q: %w", v, err)
-		}
-		opt.rescue = b
-	}
-	if v := q.Get("net_timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noised: bad net_timeout %q", v)
-		}
-		opt.netTimeout = d
-	}
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noised: bad timeout %q", v)
-		}
-		opt.timeout = d
-	}
-	if cap := s.cfg.MaxRequestTimeout; cap > 0 {
-		if opt.timeout <= 0 || opt.timeout > cap {
-			opt.timeout = cap
-		}
-	}
-	opt.requestID = r.Header.Get("X-Request-ID")
+	opt.RequestID = r.Header.Get("X-Request-ID")
 	if v := q.Get("request_id"); v != "" {
-		opt.requestID = v
+		opt.RequestID = v
 	}
-	if opt.requestID != "" && !requestIDPattern.MatchString(opt.requestID) {
-		return opt, noiseerr.Invalidf("noised: bad request_id %q (want %s)", opt.requestID, requestIDPattern)
+	if opt.RequestID != "" && !ValidRequestID(opt.RequestID) {
+		return opt, noiseerr.Invalidf("noised: bad request_id %q (want %s)", opt.RequestID, requestIDPattern)
 	}
 	return opt, nil
 }
 
-// streamWriter abstracts the analyze response encoding: NDJSON (the
-// default) or the negotiated colblob binary framing. Both carry the
-// same records — clarinet.ToWireRecord shapes them — so the two wires
-// decode to identical values.
-type streamWriter interface {
-	record(rec clarinet.JournalRecord) error
-	heartbeat() error
-	summary(sum *Summary) error
+// unit is one kind of analyzed unit — a net's case or a path — as the
+// data the shared request loop (serve) needs: which knobs ride in the
+// query, the journal file suffix, the streamed-records counter, the
+// response wire, and how a request body becomes a job. T is what the
+// analysis emits, R the wire record and S the summary.
+type unit[T, R, S any] struct {
+	paths      bool
+	journalExt string
+	streamed   string
+	wire       Wire[R, S]
+	// load decodes and validates a request body; status is the HTTP
+	// status of a rejection.
+	load func(s *Server, body io.Reader) (j job[T, R, S], status int, err error)
 }
 
-// ndjsonStream writes the JSON lines wire: one StreamLine per record,
-// the summary as the terminal line.
-type ndjsonStream struct{ enc *json.Encoder }
-
-func (s ndjsonStream) record(rec clarinet.JournalRecord) error { return s.enc.Encode(rec) }
-func (s ndjsonStream) heartbeat() error {
-	return s.enc.Encode(StreamLine{Heartbeat: true})
-}
-func (s ndjsonStream) summary(sum *Summary) error {
-	return s.enc.Encode(StreamLine{Summary: sum})
-}
-
-// colblobStream writes the binary wire: each record as one colblob
-// record frame (the same chained encoding the binary journal uses, so
-// the codec's writer carries this stream's compression state), the
-// summary as a summary frame with a JSON payload (it occurs once, so
-// its schema stays shared with the NDJSON wire).
-type colblobStream struct {
-	w   io.Writer
-	rw  clarinet.RecordWriter
-	buf []byte
+// job is one accepted analyze request's unit-specific half.
+type job[T, R, S any] interface {
+	// openJournal opens the server-side journal at path, loading what an
+	// earlier attempt at the same request ID completed; it reports how
+	// many units that was.
+	openJournal(s *Server, path string) (resumed int, closeJournal func() error, err error)
+	// run starts the analysis. The channel carries its outcomes in
+	// completion order and closes once the run has ended.
+	run(ctx context.Context, s *Server, tool *clarinet.Tool, opt Options) <-chan T
+	// record tallies one outcome and renders it for the wire.
+	record(out T) R
+	// summary renders the terminal summary once run's channel closed.
+	summary(end runEnd) *S
 }
 
-func newColblobStream(w io.Writer) *colblobStream {
-	return &colblobStream{w: w, rw: clarinet.Binary.NewWriter(w)}
+// runEnd is the request-level part of a summary.
+type runEnd struct {
+	requestID string
+	elapsedMS int64
+	deadline  bool
+	draining  bool
 }
 
-func (s *colblobStream) record(rec clarinet.JournalRecord) error {
-	return s.rw.WriteRecord(rec)
-}
-
-func (s *colblobStream) heartbeat() error {
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameHeartbeat, nil)
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func (s *colblobStream) summary(sum *Summary) error {
-	payload, err := json.Marshal(sum)
-	if err != nil {
-		return err
-	}
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameSummary, payload)
-	_, err = s.w.Write(s.buf)
-	return err
-}
-
-// negotiateStream picks the response encoding from the Accept header:
-// a client that asks for application/x-noise-colblob gets the binary
-// wire, everyone else the NDJSON default.
-func negotiateStream(r *http.Request, w http.ResponseWriter) (streamWriter, string) {
-	if strings.Contains(r.Header.Get("Accept"), clarinet.ContentTypeColblob) {
-		return newColblobStream(w), clarinet.ContentTypeColblob
-	}
-	return ndjsonStream{enc: json.NewEncoder(w)}, clarinet.ContentTypeNDJSON
-}
-
-// handleAnalyze is POST /v1/analyze: admission, per-request deadline,
-// the streamed batch, and the terminal summary.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// serve is the analyze request loop both endpoints share: admission,
+// the per-request tool, the server-side journal, the per-request
+// deadline, the heartbeat-interleaved record stream, and the terminal
+// summary.
+func serve[T, R, S any](s *Server, w http.ResponseWriter, r *http.Request, u *unit[T, R, S]) {
 	s.reg.Counter(mServerRequests).Inc()
 	if s.adm.draining() {
 		s.reg.Counter(mServerRejectedDraining).Inc()
 		s.unavailable(w, "draining")
 		return
 	}
-	opt, err := s.parseAnalyzeOptions(r)
+	opt, err := ParseOptions(r, s.defaultOptions(), u.paths, s.cfg.MaxRequestTimeout)
 	if err != nil {
 		s.reg.Counter(mServerRejectedValidation).Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	names, cases, err := workload.Load(r.Body, s.session.Lib())
+	j, status, err := u.load(s, r.Body)
 	if err != nil {
 		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(cases) == 0 {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, "noised: empty case set", http.StatusBadRequest)
-		return
-	}
-	if len(cases) > s.cfg.MaxNets {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, fmt.Sprintf("noised: %d nets exceeds the per-request limit %d", len(cases), s.cfg.MaxNets),
-			http.StatusRequestEntityTooLarge)
+		http.Error(w, err.Error(), status)
 		return
 	}
 
@@ -281,11 +271,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	tool, err := clarinet.New(nil, clarinet.Config{
 		Session:    s.session,
-		Hold:       opt.hold,
-		Align:      opt.align,
+		Hold:       opt.Hold,
+		Align:      opt.Align,
 		Workers:    s.cfg.Workers,
 		Resilience: s.requestPolicy(opt),
-		NetTimeout: opt.netTimeout,
+		NetTimeout: opt.NetTimeout,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -293,25 +283,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Server-side journal: replay a resubmitted request's completed
-	// nets, then append the new ones.
-	var prior map[string]clarinet.NetReport
-	var journal *clarinet.Journal
-	if path, ok := s.journalPath(opt.requestID); ok {
-		prior, err = readPriorJournal(path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if len(prior) > 0 {
-			s.reg.Counter(mServerRequestsResumed).Inc()
-		}
-		j, closeJournal, err := clarinet.OpenJournal(path, s.cfg.JournalCodec)
+	// units, then append the new ones.
+	if path, ok := s.journalPath(opt.RequestID, u.journalExt); ok {
+		resumed, closeJournal, err := j.openJournal(s, path)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		defer closeJournal()
-		journal = j
+		if resumed > 0 {
+			s.reg.Counter(mServerRequestsResumed).Inc()
+		}
 	}
 
 	// The stream context: the request context (client disconnect)
@@ -319,28 +301,27 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// write path so a broken pipe stops the pool promptly.
 	ctx := r.Context()
 	var cancel context.CancelFunc
-	if opt.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
+	if opt.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 
-	stream, contentType := negotiateStream(r, w)
+	stream, contentType := u.wire.Negotiate(r, w)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set(InstanceHeader, s.instance)
-	if opt.requestID != "" {
-		w.Header().Set("X-Request-ID", opt.requestID)
+	if opt.RequestID != "" {
+		w.Header().Set("X-Request-ID", opt.RequestID)
 	}
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	// Push the header out now: the client should learn the request was
-	// accepted before the first (possibly slow) net completes.
+	// accepted before the first (possibly slow) unit completes.
 	rc.Flush()
 
 	start := time.Now()
-	sum := Summary{RequestID: opt.requestID, Nets: len(cases), Resumed: len(prior)}
 	writeOK := true
 	// Heartbeats keep an idle stream distinguishable from a dead
 	// server: whenever no record has gone out for a full interval, an
@@ -353,27 +334,20 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer hb.Stop()
 		hbC = hb.C
 	}
-	reports := s.runBatch(tool, ctx, names, cases, prior, journal)
+	outs := j.run(ctx, s, tool, opt)
 stream:
 	for {
 		select {
-		case rep, ok := <-reports:
+		case out, ok := <-outs:
 			if !ok {
 				break stream
 			}
-			switch {
-			case rep.Err == nil:
-				sum.OK++
-			case noiseerr.Class(rep.Err) == noiseerr.ErrCanceled:
-				sum.Canceled++
-			default:
-				sum.Failed++
-			}
+			rec := j.record(out)
 			if !writeOK {
-				continue // keep draining the pool after a broken pipe
+				continue // keep draining the run after a broken pipe
 			}
-			s.reg.Counter(mServerNetsStreamed).Inc()
-			if err := stream.record(clarinet.ToWireRecord(rep)); err != nil {
+			s.reg.Counter(u.streamed).Inc()
+			if err := stream.Record(rec); err != nil {
 				writeOK = false
 				cancel() // stop analyzing for a client that is gone
 				continue
@@ -387,7 +361,7 @@ stream:
 				continue
 			}
 			s.reg.Counter(mServerHeartbeats).Inc()
-			if err := stream.heartbeat(); err != nil {
+			if err := stream.Heartbeat(); err != nil {
 				writeOK = false
 				cancel()
 				continue
@@ -398,19 +372,103 @@ stream:
 	if !writeOK {
 		return
 	}
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	sum.Deadline = ctx.Err() == context.DeadlineExceeded
-	sum.Draining = s.adm.draining()
-	if err := stream.summary(&sum); err == nil {
+	sum := j.summary(runEnd{
+		requestID: opt.RequestID,
+		elapsedMS: time.Since(start).Milliseconds(),
+		deadline:  ctx.Err() == context.DeadlineExceeded,
+		draining:  s.adm.draining(),
+	})
+	if err := stream.Summary(sum); err == nil {
 		rc.Flush()
 	}
+}
+
+// defaultOptions are the server's configured per-request defaults.
+func (s *Server) defaultOptions() Options {
+	return Options{
+		Hold:           s.cfg.Hold,
+		Align:          s.cfg.Align,
+		Rescue:         s.cfg.Resilience.Enabled(),
+		NetTimeout:     s.cfg.NetTimeout,
+		PathIterations: pathnoise.DefaultMaxIterations,
+	}
+}
+
+// handleAnalyze is POST /v1/analyze.
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) { serve(s, w, r, netUnit) }
+
+// netUnit serves the cases of a workload file through the clarinet
+// pool, one journal record per net.
+var netUnit = &unit[clarinet.NetReport, clarinet.JournalRecord, Summary]{
+	journalExt: ".journal",
+	streamed:   mServerNetsStreamed,
+	wire:       NetWire,
+	load: func(s *Server, body io.Reader) (job[clarinet.NetReport, clarinet.JournalRecord, Summary], int, error) {
+		names, cases, err := workload.Load(body, s.session.Lib())
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if len(cases) == 0 {
+			return nil, http.StatusBadRequest, noiseerr.Invalidf("noised: empty case set")
+		}
+		if len(cases) > s.cfg.MaxNets {
+			return nil, http.StatusRequestEntityTooLarge,
+				noiseerr.Invalidf("noised: %d nets exceeds the per-request limit %d", len(cases), s.cfg.MaxNets)
+		}
+		return &netJob{names: names, cases: cases}, 0, nil
+	},
+}
+
+// netJob is one /v1/analyze request.
+type netJob struct {
+	names   []string
+	cases   []*delaynoise.Case
+	prior   map[string]clarinet.NetReport
+	journal *clarinet.Journal
+	sum     Summary
+}
+
+func (j *netJob) openJournal(s *Server, path string) (int, func() error, error) {
+	prior, err := readPriorJournal(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	journal, closeJournal, err := clarinet.OpenJournal(path, s.cfg.JournalCodec)
+	if err != nil {
+		return 0, nil, err
+	}
+	j.prior, j.journal = prior, journal
+	return len(prior), closeJournal, nil
+}
+
+func (j *netJob) run(ctx context.Context, s *Server, tool *clarinet.Tool, _ Options) <-chan clarinet.NetReport {
+	return s.runBatch(tool, ctx, j.names, j.cases, j.prior, j.journal)
+}
+
+func (j *netJob) record(rep clarinet.NetReport) clarinet.JournalRecord {
+	switch {
+	case rep.Err == nil:
+		j.sum.OK++
+	case noiseerr.Class(rep.Err) == noiseerr.ErrCanceled:
+		j.sum.Canceled++
+	default:
+		j.sum.Failed++
+	}
+	return clarinet.ToWireRecord(rep)
+}
+
+func (j *netJob) summary(end runEnd) *Summary {
+	sum := j.sum
+	sum.RequestID, sum.Nets, sum.Resumed = end.requestID, len(j.cases), len(j.prior)
+	sum.ElapsedMS, sum.Deadline, sum.Draining = end.elapsedMS, end.deadline, end.draining
+	return &sum
 }
 
 // requestPolicy resolves the resilience policy for one request: the
 // configured ladder (or the default one) when rescue is on, nothing
 // when the request disabled it.
-func (s *Server) requestPolicy(opt analyzeOptions) resilience.Policy {
-	if !opt.rescue {
+func (s *Server) requestPolicy(opt Options) resilience.Policy {
+	if !opt.Rescue {
 		return resilience.Policy{}
 	}
 	if s.cfg.Resilience.Enabled() {

@@ -7,15 +7,18 @@ import (
 	"repro/internal/clarinet"
 )
 
-// journalPath maps a request ID to its server-side journal file.
-// Journaling happens only when the server has a JournalDir and the
-// request named itself; anonymous requests stream without a checkpoint.
-// requestIDPattern has already confined the ID to a safe file name.
-func (s *Server) journalPath(requestID string) (string, bool) {
+// journalPath maps a request ID to its server-side journal file; ext
+// keeps each endpoint's journals apart (".journal" for nets,
+// ".path.journal" for paths), so the two can share a request ID without
+// replaying each other's records. Journaling happens only when the
+// server has a JournalDir and the request named itself; anonymous
+// requests stream without a checkpoint. requestIDPattern has already
+// confined the ID to a safe file name.
+func (s *Server) journalPath(requestID, ext string) (string, bool) {
 	if s.cfg.JournalDir == "" || requestID == "" {
 		return "", false
 	}
-	return filepath.Join(s.cfg.JournalDir, requestID+".journal"), true
+	return filepath.Join(s.cfg.JournalDir, requestID+ext), true
 }
 
 // legacyJournalPath is the pre-binary-era name (<id>.jsonl) for the

@@ -2,16 +2,10 @@ package noised
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/clarinet"
-	"repro/internal/colblob"
 	"repro/internal/noiseerr"
 	"repro/internal/pathnoise"
 	"repro/internal/workload"
@@ -57,50 +51,116 @@ type PathStreamLine struct {
 // scheduler; tests substitute controllable fakes for pathnoise.Run.
 type runPathsFunc func(ctx context.Context, t *clarinet.Tool, paths []*pathnoise.Path, opt pathnoise.Options) ([]*pathnoise.PathReport, error)
 
-// analyzePathOptions extends the per-request knobs with the path-mode
-// ones.
-type analyzePathOptions struct {
-	analyzeOptions
-	iterations  int
-	pathTimeout time.Duration
-}
-
 // maxPathIterations bounds the per-request window-fixpoint ladder so a
 // client cannot multiply the server's work without bound.
 const maxPathIterations = 8
 
-func (s *Server) parseAnalyzePathOptions(r *http.Request) (analyzePathOptions, error) {
-	base, err := s.parseAnalyzeOptions(r)
-	if err != nil {
-		return analyzePathOptions{}, err
-	}
-	opt := analyzePathOptions{analyzeOptions: base, iterations: pathnoise.DefaultMaxIterations}
-	q := r.URL.Query()
-	if v := q.Get("path_iterations"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > maxPathIterations {
-			return opt, noiseerr.Invalidf("noised: bad path_iterations %q (want 1..%d)", v, maxPathIterations)
-		}
-		opt.iterations = n
-	}
-	if v := q.Get("path_timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noised: bad path_timeout %q", v)
-		}
-		opt.pathTimeout = d
-	}
-	return opt, nil
+// PathWire is the /v1/analyze-path encoding: stage records (binary:
+// self-contained FramePathStage frames, as in the binary stage
+// journal), then a {"pathSummary": ...} line or summary frame.
+var PathWire = Wire[pathnoise.StageRecord, PathSummary]{
+	Records: func(w io.Writer) func(pathnoise.StageRecord) error {
+		return pathnoise.BinaryStages.NewWriter(w).WriteStage
+	},
+	Line: func(heartbeat bool, sum *PathSummary) any {
+		return PathStreamLine{Heartbeat: heartbeat, Summary: sum}
+	},
 }
 
-// pathJournalPath maps a request ID to its server-side stage journal —
-// a name distinct from the per-net journal so the two analyze surfaces
-// can share a request ID without replaying each other's records.
-func (s *Server) pathJournalPath(requestID string) (string, bool) {
-	if s.cfg.JournalDir == "" || requestID == "" {
-		return "", false
+// handleAnalyzePath is POST /v1/analyze-path.
+func (s *Server) handleAnalyzePath(w http.ResponseWriter, r *http.Request) {
+	serve(s, w, r, pathUnit)
+}
+
+// pathUnit serves the paths of a workload file through the DAG
+// scheduler, one stage record per completed (path, stage, iteration).
+var pathUnit = &unit[pathnoise.StageRecord, pathnoise.StageRecord, PathSummary]{
+	paths:      true,
+	journalExt: ".path.journal",
+	streamed:   mServerStagesStreamed,
+	wire:       PathWire,
+	load: func(s *Server, body io.Reader) (job[pathnoise.StageRecord, pathnoise.StageRecord, PathSummary], int, error) {
+		_, cases, paths, err := workload.LoadPaths(body, s.session.Lib())
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if len(paths) == 0 {
+			return nil, http.StatusBadRequest, noiseerr.Invalidf("noised: case set defines no paths")
+		}
+		if len(cases) > s.cfg.MaxNets {
+			return nil, http.StatusRequestEntityTooLarge,
+				noiseerr.Invalidf("noised: stage cases exceed the per-request net limit")
+		}
+		return &pathJob{paths: paths}, 0, nil
+	},
+}
+
+// pathJob is one /v1/analyze-path request.
+type pathJob struct {
+	paths   []*pathnoise.Path
+	prior   map[pathnoise.StageKey]pathnoise.StageRecord
+	journal *pathnoise.PathJournal
+	reports []*pathnoise.PathReport
+	done    chan struct{} // closed once reports is set
+}
+
+func (j *pathJob) openJournal(s *Server, path string) (int, func() error, error) {
+	prior, err := pathnoise.ReadPathJournalFile(path)
+	if err != nil {
+		return 0, nil, err
 	}
-	return filepath.Join(s.cfg.JournalDir, requestID+".path.journal"), true
+	journal, closeJournal, err := pathnoise.OpenPathJournal(path, s.stageCodec())
+	if err != nil {
+		return 0, nil, err
+	}
+	j.prior, j.journal = prior, journal
+	return len(prior), closeJournal, nil
+}
+
+// run starts the scheduler in its own goroutine; Emit forwards each
+// stage record to the stream loop, which owns the response writer.
+func (j *pathJob) run(ctx context.Context, s *Server, tool *clarinet.Tool, opt Options) <-chan pathnoise.StageRecord {
+	recs := make(chan pathnoise.StageRecord, len(j.paths))
+	j.done = make(chan struct{})
+	go func() {
+		defer close(j.done)
+		defer close(recs)
+		j.reports, _ = s.runPaths(ctx, tool, j.paths, pathnoise.Options{
+			MaxIterations: opt.PathIterations,
+			PathTimeout:   opt.PathTimeout,
+			Journal:       j.journal,
+			Prior:         j.prior,
+			Emit: func(rec pathnoise.StageRecord) {
+				select {
+				case recs <- rec:
+				case <-ctx.Done():
+				}
+			},
+		})
+	}()
+	return recs
+}
+
+func (j *pathJob) record(rec pathnoise.StageRecord) pathnoise.StageRecord { return rec }
+
+func (j *pathJob) summary(end runEnd) *PathSummary {
+	<-j.done
+	sum := &PathSummary{
+		RequestID: end.requestID, Paths: len(j.paths), StagesResumed: len(j.prior),
+		ElapsedMS: end.elapsedMS, Deadline: end.deadline, Draining: end.draining,
+		Reports: j.reports,
+	}
+	for _, rep := range j.reports {
+		switch {
+		case rep.Class == "canceled":
+			sum.Canceled++
+		case rep.Failed():
+			sum.Failed++
+		default:
+			sum.OK++
+		}
+	}
+	return sum
 }
 
 // stageCodec resolves the configured journal codec to its stage-journal
@@ -114,250 +174,4 @@ func (s *Server) stageCodec() pathnoise.StageCodec {
 		return nil
 	}
 	return codec
-}
-
-// pathStreamWriter abstracts the analyze-path response encoding, the
-// stage-record mirror of streamWriter.
-type pathStreamWriter interface {
-	record(rec pathnoise.StageRecord) error
-	heartbeat() error
-	summary(sum *PathSummary) error
-}
-
-type ndjsonPathStream struct{ enc *json.Encoder }
-
-func (s ndjsonPathStream) record(rec pathnoise.StageRecord) error { return s.enc.Encode(rec) }
-func (s ndjsonPathStream) heartbeat() error {
-	return s.enc.Encode(PathStreamLine{Heartbeat: true})
-}
-func (s ndjsonPathStream) summary(sum *PathSummary) error {
-	return s.enc.Encode(PathStreamLine{Summary: sum})
-}
-
-// colblobPathStream writes the binary wire: each stage record as one
-// self-contained FramePathStage frame (the same encoding the binary
-// stage journal uses), the summary as a summary frame with a JSON
-// payload.
-type colblobPathStream struct {
-	w   io.Writer
-	sw  pathnoise.StageWriter
-	buf []byte
-}
-
-func newColblobPathStream(w io.Writer) *colblobPathStream {
-	return &colblobPathStream{w: w, sw: pathnoise.BinaryStages.NewWriter(w)}
-}
-
-func (s *colblobPathStream) record(rec pathnoise.StageRecord) error {
-	return s.sw.WriteStage(rec)
-}
-
-func (s *colblobPathStream) heartbeat() error {
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameHeartbeat, nil)
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func (s *colblobPathStream) summary(sum *PathSummary) error {
-	payload, err := json.Marshal(sum)
-	if err != nil {
-		return err
-	}
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameSummary, payload)
-	_, err = s.w.Write(s.buf)
-	return err
-}
-
-func negotiatePathStream(r *http.Request, w http.ResponseWriter) (pathStreamWriter, string) {
-	if strings.Contains(r.Header.Get("Accept"), clarinet.ContentTypeColblob) {
-		return newColblobPathStream(w), clarinet.ContentTypeColblob
-	}
-	return ndjsonPathStream{enc: json.NewEncoder(w)}, clarinet.ContentTypeNDJSON
-}
-
-// handleAnalyzePath is POST /v1/analyze-path: admission, per-request
-// deadline, the streamed stage records, and the terminal path summary.
-func (s *Server) handleAnalyzePath(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mServerRequests).Inc()
-	if s.adm.draining() {
-		s.reg.Counter(mServerRejectedDraining).Inc()
-		s.unavailable(w, "draining")
-		return
-	}
-	opt, err := s.parseAnalyzePathOptions(r)
-	if err != nil {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	_, cases, paths, err := workload.LoadPaths(r.Body, s.session.Lib())
-	if err != nil {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(paths) == 0 {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, "noised: case set defines no paths", http.StatusBadRequest)
-		return
-	}
-	if len(cases) > s.cfg.MaxNets {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, "noised: stage cases exceed the per-request net limit", http.StatusRequestEntityTooLarge)
-		return
-	}
-
-	switch err := s.adm.acquire(r.Context()); err {
-	case nil:
-		defer s.adm.release()
-	case errQueueFull, errDraining:
-		s.reg.Counter(mServerRejectedQueue).Inc()
-		s.unavailable(w, err.Error())
-		return
-	default:
-		return // the client went away while queued
-	}
-
-	tool, err := clarinet.New(nil, clarinet.Config{
-		Session:    s.session,
-		Hold:       opt.hold,
-		Align:      opt.align,
-		Workers:    s.cfg.Workers,
-		Resilience: s.requestPolicy(opt.analyzeOptions),
-		NetTimeout: opt.netTimeout,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-
-	// Server-side stage journal: replay a resubmitted request's
-	// completed stages, then append the new ones.
-	var prior map[pathnoise.StageKey]pathnoise.StageRecord
-	var journal *pathnoise.PathJournal
-	if path, ok := s.pathJournalPath(opt.requestID); ok {
-		prior, err = pathnoise.ReadPathJournalFile(path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if len(prior) > 0 {
-			s.reg.Counter(mServerRequestsResumed).Inc()
-		}
-		j, closeJournal, err := pathnoise.OpenPathJournal(path, s.stageCodec())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer closeJournal()
-		journal = j
-	}
-
-	ctx := r.Context()
-	var cancel context.CancelFunc
-	if opt.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
-	stream, contentType := negotiatePathStream(r, w)
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set(InstanceHeader, s.instance)
-	if opt.requestID != "" {
-		w.Header().Set("X-Request-ID", opt.requestID)
-	}
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	rc.Flush()
-
-	start := time.Now()
-	sum := PathSummary{RequestID: opt.requestID, Paths: len(paths), StagesResumed: len(prior)}
-	writeOK := true
-	var hbC <-chan time.Time
-	var hb *time.Ticker
-	if s.cfg.Heartbeat > 0 {
-		hb = time.NewTicker(s.cfg.Heartbeat)
-		defer hb.Stop()
-		hbC = hb.C
-	}
-
-	// The scheduler runs in its own goroutine; Emit forwards each stage
-	// record to the stream loop, which owns the response writer.
-	recs := make(chan pathnoise.StageRecord, len(paths))
-	var reports []*pathnoise.PathReport
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		defer close(recs)
-		reports, _ = s.runPaths(ctx, tool, paths, pathnoise.Options{
-			MaxIterations: opt.iterations,
-			PathTimeout:   opt.pathTimeout,
-			Journal:       journal,
-			Prior:         prior,
-			Emit: func(rec pathnoise.StageRecord) {
-				select {
-				case recs <- rec:
-				case <-ctx.Done():
-				}
-			},
-		})
-	}()
-stream:
-	for {
-		select {
-		case rec, ok := <-recs:
-			if !ok {
-				break stream
-			}
-			if !writeOK {
-				continue // keep draining the scheduler after a broken pipe
-			}
-			s.reg.Counter(mServerStagesStreamed).Inc()
-			if err := stream.record(rec); err != nil {
-				writeOK = false
-				cancel() // stop analyzing for a client that is gone
-				continue
-			}
-			rc.Flush()
-			if hb != nil {
-				hb.Reset(s.cfg.Heartbeat)
-			}
-		case <-hbC:
-			if !writeOK {
-				continue
-			}
-			s.reg.Counter(mServerHeartbeats).Inc()
-			if err := stream.heartbeat(); err != nil {
-				writeOK = false
-				cancel()
-				continue
-			}
-			rc.Flush()
-		}
-	}
-	<-runDone
-	if !writeOK {
-		return
-	}
-	for _, rep := range reports {
-		switch {
-		case rep.Class == "canceled":
-			sum.Canceled++
-		case rep.Failed():
-			sum.Failed++
-		default:
-			sum.OK++
-		}
-	}
-	sum.Reports = reports
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	sum.Deadline = ctx.Err() == context.DeadlineExceeded
-	sum.Draining = s.adm.draining()
-	if err := stream.summary(&sum); err == nil {
-		rc.Flush()
-	}
 }

@@ -5,18 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/clarinet"
-	"repro/internal/colblob"
 	"repro/internal/noised"
-	"repro/internal/noiseerr"
 	"repro/internal/workload"
 )
 
@@ -53,145 +47,31 @@ func (g *Gateway) unavailable(w http.ResponseWriter, reason string) {
 	http.Error(w, reason, http.StatusServiceUnavailable)
 }
 
-// analyzeOptions are the validated per-request knobs. The analysis
-// options are forwarded to the replicas verbatim; only the timeout and
-// request ID have gateway-level meaning.
-type analyzeOptions struct {
-	forward   url.Values // hold/align/rescue/net_timeout/timeout, as received
-	timeout   time.Duration
-	requestID string
-}
+// handleAnalyze is POST /v1/analyze.
+func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) { serve(g, w, r, netUnit) }
 
-// parseAnalyzeOptions validates the query parameters the gateway
-// forwards, failing fast with 400 instead of scattering a request every
-// replica would reject.
-func (g *Gateway) parseAnalyzeOptions(r *http.Request) (analyzeOptions, error) {
-	q := r.URL.Query()
-	opt := analyzeOptions{forward: url.Values{}}
-	if v := q.Get("hold"); v != "" {
-		if _, err := clarinet.ParseHold(v); err != nil {
-			return opt, err
-		}
-		opt.forward.Set("hold", v)
-	}
-	if v := q.Get("align"); v != "" {
-		if _, err := clarinet.ParseAlign(v); err != nil {
-			return opt, err
-		}
-		opt.forward.Set("align", v)
-	}
-	if v := q.Get("rescue"); v != "" {
-		if _, err := strconv.ParseBool(v); err != nil {
-			return opt, noiseerr.Invalidf("noisegw: bad rescue %q: %w", v, err)
-		}
-		opt.forward.Set("rescue", v)
-	}
-	if v := q.Get("net_timeout"); v != "" {
-		if d, err := time.ParseDuration(v); err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noisegw: bad net_timeout %q", v)
-		}
-		opt.forward.Set("net_timeout", v)
-	}
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noisegw: bad timeout %q", v)
-		}
-		opt.timeout = d
-		opt.forward.Set("timeout", v)
-	}
-	if limit := g.cfg.MaxRequestTimeout; limit > 0 {
-		if opt.timeout <= 0 || opt.timeout > limit {
-			opt.timeout = limit
-		}
-	}
-	opt.requestID = r.Header.Get("X-Request-ID")
-	if v := q.Get("request_id"); v != "" {
-		opt.requestID = v
-	}
-	if opt.requestID != "" && !noised.ValidRequestID(opt.requestID) {
-		return opt, noiseerr.Invalidf("noisegw: bad request_id %q", opt.requestID)
-	}
-	return opt, nil
-}
+// handleAnalyzePath is POST /v1/analyze-path.
+func (g *Gateway) handleAnalyzePath(w http.ResponseWriter, r *http.Request) { serve(g, w, r, pathUnit) }
 
-// streamWriter mirrors the noised response encodings so noisectl and
-// client.Client speak to a gateway unchanged.
-type streamWriter interface {
-	record(rec clarinet.JournalRecord) error
-	heartbeat() error
-	summary(sum *noised.Summary) error
-}
-
-type ndjsonStream struct{ enc *json.Encoder }
-
-func (s ndjsonStream) record(rec clarinet.JournalRecord) error { return s.enc.Encode(rec) }
-func (s ndjsonStream) heartbeat() error {
-	return s.enc.Encode(noised.StreamLine{Heartbeat: true})
-}
-func (s ndjsonStream) summary(sum *noised.Summary) error {
-	return s.enc.Encode(noised.StreamLine{Summary: sum})
-}
-
-// colblobStream re-encodes the merged records on a fresh binary writer:
-// the per-replica streams each carried their own chained compression
-// state, so the gateway cannot splice their frames — it decodes and
-// re-encodes, which also normalizes the client's view.
-type colblobStream struct {
-	w   io.Writer
-	rw  clarinet.RecordWriter
-	buf []byte
-}
-
-func newColblobStream(w io.Writer) *colblobStream {
-	return &colblobStream{w: w, rw: clarinet.Binary.NewWriter(w)}
-}
-
-func (s *colblobStream) record(rec clarinet.JournalRecord) error {
-	return s.rw.WriteRecord(rec)
-}
-
-func (s *colblobStream) heartbeat() error {
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameHeartbeat, nil)
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func (s *colblobStream) summary(sum *noised.Summary) error {
-	payload, err := json.Marshal(sum)
-	if err != nil {
-		return err
-	}
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameSummary, payload)
-	_, err = s.w.Write(s.buf)
-	return err
-}
-
-func negotiateStream(r *http.Request, w http.ResponseWriter) (streamWriter, string) {
-	if strings.Contains(r.Header.Get("Accept"), clarinet.ContentTypeColblob) {
-		return newColblobStream(w), clarinet.ContentTypeColblob
-	}
-	return ndjsonStream{enc: json.NewEncoder(w)}, clarinet.ContentTypeNDJSON
-}
-
-// handleAnalyze is POST /v1/analyze: validation, admission, scatter,
-// and the merge loop that streams finalized records to the client.
-func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// serve is the request loop both endpoints share: validation,
+// admission, the scatter, and the merge loop that streams merged
+// records to the client in the replicas' own wire.
+func serve[U, R, S any](g *Gateway, w http.ResponseWriter, r *http.Request, u *unit[U, R, S]) {
 	g.reg.Counter(mGwRequests).Inc()
 	if g.adm.draining() {
 		g.reg.Counter(mGwRejectedDraining).Inc()
 		g.unavailable(w, "draining")
 		return
 	}
-	opt, err := g.parseAnalyzeOptions(r)
+	// The replicas' own option parser: the gateway fails fast with 400
+	// on exactly the requests every replica would reject, instead of
+	// scattering them and striking healthy replicas over the answer.
+	opt, err := noised.ParseOptions(r, noised.Options{}, u.paths, g.cfg.MaxRequestTimeout)
 	if err != nil {
 		g.reg.Counter(mGwRejectedValidation).Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Structural parse only: the gateway shards cases without resolving
-	// them against a device library — validation against the technology
-	// stays at the replicas, which own the engine.
 	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
 	var file workload.FileJSON
 	if err := json.NewDecoder(r.Body).Decode(&file); err != nil {
@@ -199,25 +79,14 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("noisegw: decode: %v", err), http.StatusBadRequest)
 		return
 	}
-	if len(file.Cases) == 0 {
+	if err := u.validate(file, g.cfg.MaxNets); err != nil {
 		g.reg.Counter(mGwRejectedValidation).Inc()
-		http.Error(w, "noisegw: empty case set", http.StatusBadRequest)
-		return
-	}
-	if len(file.Cases) > g.cfg.MaxNets {
-		g.reg.Counter(mGwRejectedValidation).Inc()
-		http.Error(w, fmt.Sprintf("noisegw: %d nets exceeds the limit %d", len(file.Cases), g.cfg.MaxNets),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	seen := make(map[string]bool, len(file.Cases))
-	for _, c := range file.Cases {
-		if c.Name == "" || seen[c.Name] {
-			g.reg.Counter(mGwRejectedValidation).Inc()
-			http.Error(w, fmt.Sprintf("noisegw: missing or duplicate net name %q", c.Name), http.StatusBadRequest)
-			return
+		status := http.StatusBadRequest
+		if len(file.Cases) > g.cfg.MaxNets {
+			status = http.StatusRequestEntityTooLarge
 		}
-		seen[c.Name] = true
+		http.Error(w, err.Error(), status)
+		return
 	}
 
 	switch err := g.adm.acquire(r.Context()); err {
@@ -233,32 +102,41 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	var cancel context.CancelFunc
-	if opt.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
+	if opt.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 
-	run := g.newRun(ctx, cancel, file.Technology, opt.forward, opt.requestID)
-	if err := run.scatter(file.Cases); err != nil {
+	start := time.Now()
+	b := u.newBatch(g, file, start)
+	run := &run[U, R, S]{
+		g:         g,
+		unit:      u,
+		batch:     b,
+		ctx:       ctx,
+		query:     opt.Forward,
+		requestID: opt.RequestID,
+		sink:      make(chan R, 64),
+	}
+	if err := run.scatter(); err != nil {
 		g.reg.Counter(mGwRejectedNoReplicas).Inc()
 		g.unavailable(w, err.Error())
 		return
 	}
 
-	stream, contentType := negotiateStream(r, w)
+	stream, contentType := u.wire.Negotiate(r, w)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set(noised.InstanceHeader, g.instance)
-	if opt.requestID != "" {
-		w.Header().Set("X-Request-ID", opt.requestID)
+	if opt.RequestID != "" {
+		w.Header().Set("X-Request-ID", opt.RequestID)
 	}
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	rc.Flush()
 
-	sum := noised.Summary{RequestID: opt.requestID, Nets: len(file.Cases)}
 	writeOK := true
 	var hbC <-chan time.Time
 	var hb *time.Ticker
@@ -274,15 +152,11 @@ merge:
 			if !ok {
 				break merge
 			}
-			if rec.Error == "" {
-				sum.OK++
-			} else {
-				sum.Failed++
-			}
+			b.delivered(rec)
 			if !writeOK {
 				continue // drain the merge after a broken pipe
 			}
-			if err := stream.record(rec); err != nil {
+			if err := stream.Record(rec); err != nil {
 				writeOK = false
 				cancel() // stop the scatter for a client that is gone
 				continue
@@ -295,7 +169,7 @@ merge:
 			if !writeOK {
 				continue
 			}
-			if err := stream.heartbeat(); err != nil {
+			if err := stream.Heartbeat(); err != nil {
 				writeOK = false
 				cancel()
 				continue
@@ -306,45 +180,12 @@ merge:
 	if !writeOK {
 		return
 	}
-	// Every worker has exited: nets still unfinalized are definitively
-	// incomplete — no late stream can contradict the records we emit
-	// now. Canceled when our own context died, reshard failures
-	// otherwise.
-	for _, c := range file.Cases {
-		if run.finished(c.Name) {
-			continue
-		}
-		g.reg.Counter(mGwNetsUnassigned).Inc()
-		rec := unfinishedRecord(c.Name, ctx)
-		if rec.Class == "canceled" {
-			sum.Canceled++
-		} else {
-			sum.Failed++
-		}
-		if err := stream.record(rec); err != nil {
-			return
-		}
-	}
-	sum.ElapsedMS = time.Since(run.start).Milliseconds()
-	sum.Deadline = ctx.Err() == context.DeadlineExceeded
-	sum.Draining = g.adm.draining()
-	if err := stream.summary(&sum); err == nil {
+	// Every worker has exited: units still unfinished are definitively
+	// incomplete.
+	end := runEnd{ctx: ctx, requestID: opt.RequestID, elapsedMS: time.Since(start).Milliseconds(), draining: g.adm.draining()}
+	if err := b.finish(stream, end); err == nil {
 		rc.Flush()
 	}
-}
-
-// unfinishedRecord renders the terminal record of a net no replica
-// finished: a canceled placeholder when the run itself was cut short,
-// an internal reshard failure when the recovery budget ran out.
-func unfinishedRecord(net string, ctx context.Context) clarinet.JournalRecord {
-	var err error
-	if ctx.Err() != nil {
-		err = noiseerr.Canceled(fmt.Errorf("noisegw: run canceled before net completed: %w", ctx.Err()))
-	} else {
-		err = noiseerr.InStage(noiseerr.StageReshard,
-			noiseerr.Internalf("noisegw: reshard budget exhausted with no healthy replica finishing the net"))
-	}
-	return clarinet.ToWireRecord(clarinet.NetReport{Name: net, Err: noiseerr.WithNet(net, err)})
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/clarinet"
 	"repro/internal/device"
 	"repro/internal/noised"
+	"repro/internal/pathnoise"
 	"repro/internal/workload"
 )
 
@@ -99,5 +100,50 @@ func TestGatewayMatchesSingleReplica(t *testing.T) {
 	}
 	if got, want := canonical(t, recs), canonical(t, golden); !bytes.Equal(got, want) {
 		t.Fatalf("merged records diverge from the single-replica run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestGatewayPathMatchesSingleReplica is the path twin of
+// TestGatewayMatchesSingleReplica: paths scattered whole over real
+// replicas and merged by the gateway must yield path reports rendering
+// byte-identical to the same paths run on one replica directly.
+func TestGatewayPathMatchesSingleReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real engine analysis")
+	}
+	lib := device.NewLibrary(device.Default180())
+	gen := workload.NewGenerator(lib, workload.DefaultProfile(), 11)
+	names, cases, paths, err := gen.PathPopulation(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := workload.SavePaths(&buf, lib.Tech.Name, names, cases, paths); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+
+	_, gsum := postAnalyzePath(t, realReplica(t).URL, body)
+	if gsum == nil || gsum.OK != len(paths) {
+		t.Fatalf("golden summary = %+v", gsum)
+	}
+	_, ts := newTestGateway(t, func(cfg *Config) {
+		cfg.Replicas = []string{realReplica(t).URL, realReplica(t).URL}
+		cfg.StallTimeout = 2 * time.Minute
+	})
+	_, sum := postAnalyzePath(t, ts.URL, body)
+	if sum == nil || sum.Paths != len(paths) || sum.OK != len(paths) {
+		t.Fatalf("gateway summary = %+v", sum)
+	}
+	want, err := pathnoise.MarshalReport(gsum.Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pathnoise.MarshalReport(sum.Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("gateway path report diverges from the single-replica run:\n got %s\nwant %s", got, want)
 	}
 }

@@ -27,9 +27,15 @@
 //     own admission gate sheds clients with 503 + Retry-After when the
 //     fleet is saturated or empty.
 //
+// POST /v1/analyze-path scatters whole paths the same way: nets and
+// paths are two units of one dispatcher, which differ only in the data
+// a unit supplies (routing key, endpoint, sub-request-ID family, shard
+// body, stream types, merge rule, hedging).
+//
 // The wire is exactly the noised wire — NDJSON or negotiated colblob
-// frames, heartbeats included, terminated by the same summary schema —
-// so noisectl and client.Client work against a gateway unchanged.
+// frames, heartbeats included, terminated by the same summary schema,
+// written through noised's own stream writer — so noisectl and
+// client.Client work against a gateway unchanged.
 package noisegw
 
 import (

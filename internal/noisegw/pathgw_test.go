@@ -375,10 +375,11 @@ func TestGatewayPathSubRequestIDs(t *testing.T) {
 }
 
 // TestGatewayPathValidation covers the structural 400s the gateway
-// enforces without a device library.
+// enforces without a device library, and the path knobs every replica
+// would reject: those must fail at the gateway, not strike replicas.
 func TestGatewayPathValidation(t *testing.T) {
 	f := newFakePathReplica(t)
-	_, ts := newPathGateway(t, nil, f)
+	g, ts := newPathGateway(t, nil, f)
 
 	noPaths := pathFile(1, 2)
 	noPaths.Paths = nil
@@ -403,8 +404,23 @@ func TestGatewayPathValidation(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+	// noised caps path_iterations at 8; a gateway that forwarded 9
+	// would see every replica answer 400 and strike it.
+	resp, err := http.Post(ts.URL+"/v1/analyze-path?path_iterations=9", "application/json",
+		bytes.NewReader(pathBody(t, pathFile(2, 2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("path_iterations=9: status %d, want 400", resp.StatusCode)
+	}
 	if f.callCount() != 0 {
 		t.Fatal("invalid requests reached a replica")
+	}
+	if n := g.Metrics().Snapshot().Counters[mGwReplicaEjections]; n != 0 {
+		t.Fatalf("ejections = %d, want 0", n)
 	}
 }
 
@@ -413,7 +429,7 @@ func TestGatewayPathValidation(t *testing.T) {
 func TestShardPathsPinsWholePaths(t *testing.T) {
 	file := pathFile(50, 3)
 	names := []string{"a", "b", "c"}
-	got := shardPaths(file.Paths, names)
+	got := shard(file.Paths, pathUnit.key, names)
 	total := 0
 	for _, shard := range got {
 		total += len(shard)
@@ -421,7 +437,7 @@ func TestShardPathsPinsWholePaths(t *testing.T) {
 	if total != 50 {
 		t.Fatalf("%d paths sharded, want 50", total)
 	}
-	again := shardPaths(file.Paths, []string{"c", "a", "b"})
+	again := shard(file.Paths, pathUnit.key, []string{"c", "a", "b"})
 	for name, shard := range got {
 		seen := map[string]bool{}
 		for _, p := range again[name] {
