@@ -16,10 +16,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent packages (the worker pool, the
-# shared caches and warm store, the path DAG scheduler, the server, and
-# the scatter-gather gateway); CI runs the same set.
+# shared caches and warm store, the journal log the pool workers append
+# to, the path DAG scheduler, the server, and the scatter-gather
+# gateway); CI runs the same set.
 race:
-	$(GO) test -race ./internal/clarinet/... ./internal/engine/... ./internal/warmstore/... ./internal/pathnoise/... ./internal/noised/... ./internal/noisegw/...
+	$(GO) test -race ./internal/clarinet/... ./internal/engine/... ./internal/warmstore/... ./internal/journal/... ./internal/pathnoise/... ./internal/noised/... ./internal/noisegw/...
 
 # Fault-injected batch smoke under the race detector: seeded
 # convergence failures, one panic, one stalled net, plus the journal
@@ -67,21 +68,22 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Short fuzz pass over the binary decoders — the colblob frame/column
-# readers and the clarinet record decoder all parse untrusted journal
-# and wire bytes. Go runs one -fuzz pattern per invocation, so the
-# target loops; the committed corpus under each package's testdata/fuzz
-# seeds every run. FUZZTIME bounds each target's budget.
+# Short fuzz pass over every decoder of untrusted input: the colblob
+# frame/column readers, the net-record and path-stage payload decoders
+# (journal and wire bytes), and the SPEF parser. Go runs one -fuzz
+# pattern per invocation, so the target loops over package:target
+# pairs; the committed corpus under each package's testdata/fuzz seeds
+# every run. FUZZTIME bounds each target's budget.
 FUZZTIME ?= 30s
-COLBLOB_FUZZ = FuzzReadFloats FuzzFrameReader FuzzDecodeBlob FuzzFloatValues
+FUZZ_TARGETS = colblob:FuzzReadFloats colblob:FuzzFrameReader colblob:FuzzDecodeBlob \
+	colblob:FuzzFloatValues clarinet:FuzzBinaryRecord pathnoise:FuzzDecodeStage spef:FuzzParse
 
 fuzz:
-	@for t in $(COLBLOB_FUZZ); do \
-		echo "== $$t"; \
-		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/colblob || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		p=$${pt%%:*}; t=$${pt#*:}; \
+		echo "== $$p $$t"; \
+		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/$$p || exit 1; \
 	done
-	@echo "== FuzzBinaryRecord"
-	@$(GO) test -run='^$$' -fuzz='^FuzzBinaryRecord$$' -fuzztime=$(FUZZTIME) ./internal/clarinet
 
 # Serving-layer smoke: boots a race-built noised on an ephemeral port,
 # drives it with noisectl over a netgen workload, checks the

@@ -20,6 +20,7 @@ import (
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/journal"
 	"repro/internal/lsim"
 	"repro/internal/metrics"
 	"repro/internal/mna"
@@ -577,15 +578,15 @@ func journalBenchRecords(n int) []clarinet.JournalRecord {
 }
 
 // BenchmarkJournalCodec encodes the 300-net reference batch through
-// both journal codecs and reports bytes per net for each — the binary
-// codec's acceptance bar is >=5x fewer bytes per net than JSONL.
+// both journal formats and reports bytes per net for each — the binary
+// format's acceptance bar is >=5x fewer bytes per net than JSONL.
 func BenchmarkJournalCodec(b *testing.B) {
 	recs := journalBenchRecords(300)
-	encode := func(codec clarinet.JournalCodec) int {
+	encode := func(f journal.Format) int {
 		var buf bytes.Buffer
-		w := codec.NewWriter(&buf)
+		w := journal.NewWriter(&buf, f, clarinet.RecordCodec)
 		for _, rec := range recs {
-			if err := w.WriteRecord(rec); err != nil {
+			if err := w.Write(rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -593,8 +594,8 @@ func BenchmarkJournalCodec(b *testing.B) {
 	}
 	var binLen, jsonlLen int
 	for i := 0; i < b.N; i++ {
-		binLen = encode(clarinet.Binary)
-		jsonlLen = encode(clarinet.JSONL)
+		binLen = encode(journal.Binary)
+		jsonlLen = encode(journal.JSONL)
 	}
 	nets := float64(len(recs))
 	b.ReportMetric(float64(binLen)/nets, "journal-B/net")

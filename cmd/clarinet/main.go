@@ -74,6 +74,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/delaynoise"
 	"repro/internal/funcnoise"
+	"repro/internal/journal"
 	"repro/internal/pathnoise"
 	"repro/internal/resilience"
 	"repro/internal/warmstore"
@@ -202,18 +203,18 @@ func main() {
 			*journalPath = *resumePath
 		}
 	}
-	var journal *clarinet.Journal
+	var batchJournal *clarinet.Journal
 	if *journalPath != "" {
-		codec, err := clarinet.CodecByName(*journalFormat)
+		format, err := journal.FormatByName(*journalFormat)
 		if err != nil {
 			cliutil.Usagef("%v", err)
 		}
-		j, closeJournal, err := clarinet.OpenJournal(*journalPath, codec)
+		j, closeJournal, err := clarinet.OpenJournal(*journalPath, format)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer closeJournal()
-		journal = j
+		batchJournal = j
 	}
 
 	ctx, cancel := cliutil.Context(*timeout)
@@ -222,7 +223,7 @@ func main() {
 	start := time.Now()
 	switch *mode {
 	case "delay":
-		reports := tool.AnalyzeBatch(ctx, names, cases, prior, journal)
+		reports := tool.AnalyzeBatch(ctx, names, cases, prior, batchJournal)
 		clarinet.WriteReportOpts(os.Stdout, reports, clarinet.ReportOptions{Quality: *quality})
 		fmt.Printf("\nanalyzed %d nets in %v (%s hold, %s alignment)\n",
 			len(cases), time.Since(start).Round(time.Millisecond), hold, alignMethod)
@@ -281,18 +282,18 @@ func runPathMode(tool *clarinet.Tool, store *warmstore.Store, paths []*pathnoise
 			f.journalPath = f.resumePath
 		}
 	}
-	var journal *pathnoise.PathJournal
+	var stageJournal *pathnoise.PathJournal
 	if f.journalPath != "" {
-		codec, err := pathnoise.StageCodecByName(f.journalFormat)
+		format, err := journal.FormatByName(f.journalFormat)
 		if err != nil {
 			cliutil.Usagef("%v", err)
 		}
-		j, closeJournal, err := pathnoise.OpenPathJournal(f.journalPath, codec)
+		j, closeJournal, err := journal.Open(f.journalPath, format, pathnoise.StageRecordCodec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer closeJournal()
-		journal = j
+		stageJournal = j
 	}
 
 	ctx, cancel := cliutil.Context(f.timeout)
@@ -302,7 +303,7 @@ func runPathMode(tool *clarinet.Tool, store *warmstore.Store, paths []*pathnoise
 	reports, err := pathnoise.Run(ctx, tool, paths, pathnoise.Options{
 		MaxIterations: f.iterations,
 		PathTimeout:   f.pathTimeout,
-		Journal:       journal,
+		Journal:       stageJournal,
 		Prior:         prior,
 	})
 	if err != nil {

@@ -12,9 +12,9 @@
 //	                                          records, sniffed) or a
 //	                                          .warm store entry to JSON
 //	noiseblob convert -to binary|jsonl <in> <out>
-//	                                          re-encode a journal; decoded
-//	                                          values are identical across
-//	                                          formats
+//	                                          re-encode a net or path-stage
+//	                                          journal; decoded values are
+//	                                          identical across formats
 //	noiseblob store <dir>                     list warm-store entries with
 //	                                          sizes
 //
@@ -40,6 +40,7 @@ import (
 	"repro/internal/clarinet"
 	"repro/internal/cliutil"
 	"repro/internal/colblob"
+	"repro/internal/journal"
 	"repro/internal/pathnoise"
 	"repro/internal/warmstore"
 )
@@ -89,7 +90,7 @@ func main() {
 // dump decodes a file to JSON on w. The format is sniffed: a colblob
 // magic byte selects frame-by-frame decoding (journal records, stream
 // summaries, warm-store entries, whatever the file holds); anything
-// else is read as a JSONL journal.
+// else is read as a JSONL journal of net or stage records.
 func dump(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -109,19 +110,21 @@ func dump(w io.Writer, path string) error {
 	if first[0] == colblob.FrameMagic {
 		return dumpFrames(out, br)
 	}
-	// Net-record and path-stage JSONL journals share the '{' first byte;
-	// the "path" key on the first line selects the stage schema.
-	head, _ := br.Peek(4096)
-	if isStageLine(head) {
-		return dumpStageJSONL(out, br)
-	}
-	return dumpJSONL(out, br)
+	// Re-encoding JSONL as JSONL validates it record by record, so a
+	// malformed line is reported rather than passed through.
+	_, err = recode(out, br, journal.JSONL, journal.JSONL)
+	return err
 }
 
-// isStageLine reports whether a JSONL journal's first line carries a
-// path-stage record: stage records lead with the "path" key, which net
-// records never have.
-func isStageLine(head []byte) bool {
+// isStageJournal reports whether the journal br starts holds path-stage
+// records rather than net records: a binary journal by its first
+// frame's kind, a JSONL one by the "path" key of its first line, which
+// net records never have.
+func isStageJournal(br *bufio.Reader) bool {
+	head, _ := br.Peek(4096)
+	if len(head) > 1 && head[0] == colblob.FrameMagic {
+		return head[1] == colblob.FramePathStage
+	}
 	line, _, _ := bytes.Cut(head, []byte{'\n'})
 	var probe struct {
 		Path *string `json:"path"`
@@ -134,35 +137,52 @@ func isStageLine(head []byte) bool {
 	return probe.Path != nil
 }
 
-// dumpStageJSONL validates and re-emits a JSONL path-stage journal,
-// waveform series columns included.
-func dumpStageJSONL(w *bufio.Writer, r io.Reader) error {
-	rr := pathnoise.JSONLStages.NewReader(r)
-	enc := json.NewEncoder(w)
+// recode re-encodes the journal on br from one format to another, with
+// the record type detected from the stream, and returns the number of
+// records written.
+func recode(w io.Writer, br *bufio.Reader, from, to journal.Format) (int, error) {
+	if isStageJournal(br) {
+		return copyRecords(w, br, from, to, pathnoise.StageRecordCodec)
+	}
+	return copyRecords(w, br, from, to, clarinet.RecordCodec)
+}
+
+// copyRecords streams records one at a time, so journals larger than
+// memory convert fine. Malformed records are reported and skipped; a
+// torn tail (the crash-truncation case journals are designed for) ends
+// the stream cleanly.
+func copyRecords[R any](w io.Writer, r io.Reader, from, to journal.Format, c journal.Codec[R]) (int, error) {
+	rr := journal.NewReader(r, from, c)
+	rw := journal.NewWriter(w, to, c)
+	n := 0
 	for {
 		rec, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if errors.Is(err, pathnoise.ErrBadStage) {
-			fmt.Fprintf(os.Stderr, "noiseblob: skipping malformed stage line: %v\n", err)
+		switch {
+		case err == io.EOF:
+			return n, nil
+		case errors.Is(err, journal.ErrBadRecord):
+			fmt.Fprintf(os.Stderr, "noiseblob: skipping malformed record: %v\n", err)
 			continue
+		case colblob.Corrupt(err):
+			fmt.Fprintf(os.Stderr, "noiseblob: torn tail after %d records: %v\n", n, err)
+			return n, nil
+		case err != nil:
+			return n, err
 		}
-		if err != nil {
-			return err
+		if err := rw.Write(rec); err != nil {
+			return n, err
 		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
+		n++
 	}
 }
 
 // dumpFrames walks a colblob-framed file, decoding each frame by its
-// kind. A torn tail (the crash-truncation case journals are designed
-// for) ends the dump cleanly; mid-file corruption is an error.
+// kind. A torn tail ends the dump cleanly; mid-file corruption is an
+// error.
 func dumpFrames(w *bufio.Writer, r io.Reader) error {
 	fr := colblob.NewFrameReader(r)
-	var dec clarinet.BinaryRecordDecoder
+	decodeRecord := clarinet.RecordCodec.NewDecoder()
+	decodeStage := pathnoise.StageRecordCodec.NewDecoder()
 	enc := json.NewEncoder(w)
 	for {
 		kind, payload, err := fr.Next()
@@ -178,7 +198,7 @@ func dumpFrames(w *bufio.Writer, r io.Reader) error {
 		}
 		switch kind {
 		case colblob.FrameRecord:
-			rec, err := dec.Decode(payload)
+			rec, err := decodeRecord(payload)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "noiseblob: torn record: %v\n", err)
 				return nil
@@ -190,7 +210,7 @@ func dumpFrames(w *bufio.Writer, r io.Reader) error {
 			// Path-stage frames are self-contained (scalar fields plus the
 			// stage's receiver-output waveform series columns), so one bad
 			// payload is skippable rather than terminal.
-			rec, err := pathnoise.DecodeStage(payload)
+			rec, err := decodeStage(payload)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "noiseblob: skipping bad stage frame: %v\n", err)
 				continue
@@ -218,34 +238,10 @@ func dumpFrames(w *bufio.Writer, r io.Reader) error {
 	}
 }
 
-// dumpJSONL validates and re-emits a JSONL journal record by record, so
-// a malformed line is reported rather than passed through.
-func dumpJSONL(w *bufio.Writer, r io.Reader) error {
-	rr := clarinet.JSONL.NewReader(r)
-	enc := json.NewEncoder(w)
-	for {
-		rec, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if errors.Is(err, clarinet.ErrBadRecord) {
-			fmt.Fprintf(os.Stderr, "noiseblob: skipping malformed line: %v\n", err)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// convert re-encodes a journal. Records stream through the codec pair
-// one at a time, so journals larger than memory convert fine; decoded
-// values are bit-identical across formats by the codecs' contract.
+// convert re-encodes a journal of net or stage records; decoded values
+// are bit-identical across formats by the codecs' contract.
 func convert(inPath, outPath, format string) error {
-	codec, err := clarinet.CodecByName(format)
+	to, err := journal.FormatByName(format)
 	if err != nil {
 		return err
 	}
@@ -255,52 +251,28 @@ func convert(inPath, outPath, format string) error {
 	}
 	defer in.Close()
 	br := bufio.NewReader(in)
-	first, err := br.Peek(1)
-	if err != nil && err != io.EOF {
+	from := to
+	if first, err := br.Peek(1); err == nil {
+		from = journal.Sniff(first[0])
+	} else if err != io.EOF {
 		return err
-	}
-	var rr clarinet.RecordReader
-	if len(first) > 0 {
-		rr = clarinet.SniffCodec(first[0]).NewReader(br)
 	}
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(out)
-	rw := codec.NewWriter(bw)
-	n := 0
-	for rr != nil {
-		rec, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, clarinet.ErrBadRecord) {
-			fmt.Fprintf(os.Stderr, "noiseblob: skipping malformed record: %v\n", err)
-			continue
-		}
-		if colblob.Corrupt(err) {
-			fmt.Fprintf(os.Stderr, "noiseblob: torn tail after %d records: %v\n", n, err)
-			break
-		}
-		if err != nil {
-			out.Close()
-			return err
-		}
-		if err := rw.WriteRecord(rec); err != nil {
-			out.Close()
-			return err
-		}
-		n++
+	n, err := recode(bw, br, from, to)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		out.Close()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	log.Printf("converted %d records to %s (%s)", n, outPath, codec.Name())
+	log.Printf("converted %d records to %s (%s)", n, outPath, to)
 	return nil
 }
 

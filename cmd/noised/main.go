@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/clarinet"
 	"repro/internal/cliutil"
+	"repro/internal/journal"
 	"repro/internal/noised"
 	"repro/internal/resilience"
 )
@@ -82,7 +83,7 @@ func main() {
 	if err != nil {
 		cliutil.Usagef("unknown alignment method %q", *alignFlag)
 	}
-	codec, err := clarinet.CodecByName(*journalFormat)
+	format, err := journal.FormatByName(*journalFormat)
 	if err != nil {
 		cliutil.Usagef("%v", err)
 	}
@@ -113,7 +114,7 @@ func main() {
 		RetryAfter:        *retryAfter,
 		Heartbeat:         *heartbeat,
 		JournalDir:        *journalDir,
-		JournalCodec:      codec,
+		JournalFormat:     format,
 		WarmStoreDir:      *warmStore,
 	})
 	if err != nil {

@@ -1,56 +1,12 @@
 package clarinet
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/colblob"
-	"repro/internal/noiseerr"
+	"repro/internal/journal"
 )
-
-// JournalCodec is the serialization behind the batch journal and the
-// noised result wire: one encoding of a JournalRecord stream. Two
-// codecs exist — the compact binary default (colblob frames) and JSONL
-// as a human-readable debug view (-journal-format=jsonl). Both
-// round-trip float64 bit-exactly, so a resumed report renders
-// byte-identically regardless of codec.
-type JournalCodec interface {
-	// Name is the codec's flag/config name ("binary", "jsonl").
-	Name() string
-	// ContentType is the codec's HTTP media type on the noised wire.
-	ContentType() string
-	// NewWriter starts an encoded record stream on w. Writers are
-	// single-stream and not concurrency-safe (Journal adds the mutex);
-	// the binary writer carries cross-record compression state, so one
-	// writer must serve one stream from its beginning (or be primed by
-	// replaying the stream's existing records — OpenJournal does).
-	NewWriter(w io.Writer) RecordWriter
-	// NewReader decodes a stream written with NewWriter.
-	NewReader(r io.Reader) RecordReader
-}
-
-// RecordWriter appends records to one encoded stream.
-type RecordWriter interface {
-	WriteRecord(rec JournalRecord) error
-}
-
-// RecordReader iterates a journal/wire stream. Next returns io.EOF at a
-// clean end, ErrBadRecord for a record that should be skipped (a
-// malformed JSONL line), and colblob.ErrTorn for the truncated tail a
-// killed binary writer leaves behind (the reader is exhausted after it —
-// binary records chain on their predecessors, so nothing after a broken
-// frame can decode).
-type RecordReader interface {
-	Next() (JournalRecord, error)
-}
-
-// ErrBadRecord marks one undecodable record in an otherwise readable
-// stream; readers skip it and continue.
-var ErrBadRecord = errors.New("clarinet: bad journal record")
 
 // Wire content types for the analyze stream.
 const (
@@ -58,91 +14,16 @@ const (
 	ContentTypeColblob = "application/x-noise-colblob"
 )
 
-// The two codecs. Binary is the journal default; JSONL is the debug
-// view and the legacy wire format.
-var (
-	Binary JournalCodec = binaryCodec{}
-	JSONL  JournalCodec = jsonlCodec{}
-)
-
-// CodecByName resolves a -journal-format flag value. Empty means the
-// binary default.
-func CodecByName(name string) (JournalCodec, error) {
-	switch name {
-	case "", "binary":
-		return Binary, nil
-	case "jsonl", "json":
-		return JSONL, nil
-	default:
-		return nil, noiseerr.Invalidf("clarinet: unknown journal format %q (want binary or jsonl)", name)
-	}
+// RecordCodec is the binary journal and wire encoding of net records:
+// one colblob FrameRecord frame per record, its payload chained on the
+// records before it in the same stream (see below). JSONL journals
+// are encoding/json of JournalRecord.
+var RecordCodec = journal.Codec[JournalRecord]{
+	Kind:       colblob.FrameRecord,
+	NewEncoder: func() func([]byte, JournalRecord) []byte { return new(recordEncoder).append },
+	NewDecoder: func() func([]byte) (JournalRecord, error) { return new(recordDecoder).decode },
 }
 
-// SniffCodec identifies the codec of an existing stream from its first
-// byte: binary frames open with colblob.FrameMagic (0xCB, outside
-// ASCII), JSONL lines with '{'.
-func SniffCodec(first byte) JournalCodec {
-	if first == colblob.FrameMagic {
-		return Binary
-	}
-	return JSONL
-}
-
-// --- JSONL ------------------------------------------------------------
-
-type jsonlCodec struct{}
-
-func (jsonlCodec) Name() string        { return "jsonl" }
-func (jsonlCodec) ContentType() string { return ContentTypeNDJSON }
-
-func (jsonlCodec) NewWriter(w io.Writer) RecordWriter { return &jsonlWriter{w: w} }
-
-type jsonlWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (jw *jsonlWriter) WriteRecord(rec JournalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	jw.buf = append(jw.buf[:0], line...)
-	jw.buf = append(jw.buf, '\n')
-	_, err = jw.w.Write(jw.buf)
-	return err
-}
-
-func (jsonlCodec) NewReader(r io.Reader) RecordReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &jsonlReader{sc: sc}
-}
-
-type jsonlReader struct{ sc *bufio.Scanner }
-
-func (jr *jsonlReader) Next() (JournalRecord, error) {
-	for jr.sc.Scan() {
-		line := jr.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A malformed line — including the torn final line of a
-			// killed run — is skippable, not fatal.
-			return JournalRecord{}, ErrBadRecord
-		}
-		return rec, nil
-	}
-	if err := jr.sc.Err(); err != nil {
-		return JournalRecord{}, err
-	}
-	return JournalRecord{}, io.EOF
-}
-
-// --- binary -----------------------------------------------------------
-//
 // One record is one colblob frame (magic, kind, length, payload,
 // checksum — see colblob/frame.go). The payload chains on the records
 // before it in the same stream, spending bytes only where a record
@@ -175,7 +56,9 @@ func (jr *jsonlReader) Next() (JournalRecord, error) {
 //
 // The chaining means a binary stream must be read strictly from the
 // start, and a writer appending to an existing stream must first replay
-// it to recover the compression state (OpenJournal does both).
+// it to recover the compression state (journal.Open does both). A
+// payload that fails to decode is therefore terminal: its errors wrap
+// colblob.ErrTorn.
 
 const (
 	enumEscape = 0xFF
@@ -226,12 +109,12 @@ type binState struct {
 	prevExp  [10]uint16
 }
 
-// BinaryRecordEncoder encodes one binary record stream's payloads (the
-// journal and wire writers wrap it in frames). Not concurrency-safe.
-type BinaryRecordEncoder struct{ st binState }
+// recordEncoder encodes one binary record stream's payloads (the
+// journal and wire writers wrap them in frames). Not concurrency-safe.
+type recordEncoder struct{ st binState }
 
-// Append appends rec's payload (unframed) to dst.
-func (e *BinaryRecordEncoder) Append(dst []byte, rec JournalRecord) []byte {
+// append appends rec's payload (unframed) to dst.
+func (e *recordEncoder) append(dst []byte, rec JournalRecord) []byte {
 	prefix := sharedPrefix(e.st.prevName, rec.Net)
 	dst = colblob.AppendUvarint(dst, uint64(prefix))
 	dst = colblob.AppendString(dst, rec.Net[prefix:])
@@ -304,14 +187,13 @@ func (e *BinaryRecordEncoder) Append(dst []byte, rec JournalRecord) []byte {
 	return bw.Bytes()
 }
 
-// BinaryRecordDecoder decodes payloads produced by a
-// BinaryRecordEncoder, replaying its state transitions. A decode error
-// leaves the state unusable: the stream cannot be resynchronized past
-// it (callers stop, as ReadJournal does).
-type BinaryRecordDecoder struct{ st binState }
+// recordDecoder decodes payloads produced by a recordEncoder,
+// replaying its state transitions. A decode error leaves the state
+// unusable: the stream cannot be resynchronized past it.
+type recordDecoder struct{ st binState }
 
-// Decode parses one payload.
-func (d *BinaryRecordDecoder) Decode(payload []byte) (JournalRecord, error) {
+// decode parses one payload.
+func (d *recordDecoder) decode(payload []byte) (JournalRecord, error) {
 	var rec JournalRecord
 	prefix, src, err := colblob.ReadUvarint(payload)
 	if err != nil || prefix > uint64(len(d.st.prevName)) {
@@ -463,53 +345,3 @@ func readEnum(src []byte, vocab []string) (string, []byte, error) {
 
 func zigzag16(v int64) uint16   { return uint16((v << 1) ^ (v >> 63)) }
 func unzigzag16(u uint16) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string        { return "binary" }
-func (binaryCodec) ContentType() string { return ContentTypeColblob }
-
-func (binaryCodec) NewWriter(w io.Writer) RecordWriter { return &binaryWriter{w: w} }
-
-type binaryWriter struct {
-	w       io.Writer
-	enc     BinaryRecordEncoder
-	payload []byte
-	frame   []byte
-}
-
-func (bw *binaryWriter) WriteRecord(rec JournalRecord) error {
-	bw.payload = bw.enc.Append(bw.payload[:0], rec)
-	bw.frame = colblob.AppendFrame(bw.frame[:0], colblob.FrameRecord, bw.payload)
-	_, err := bw.w.Write(bw.frame)
-	return err
-}
-
-func (binaryCodec) NewReader(r io.Reader) RecordReader {
-	return &binaryReader{fr: colblob.NewFrameReader(r)}
-}
-
-type binaryReader struct {
-	fr  *colblob.FrameReader
-	dec BinaryRecordDecoder
-}
-
-func (br *binaryReader) Next() (JournalRecord, error) {
-	for {
-		kind, payload, err := br.fr.Next()
-		if err != nil {
-			return JournalRecord{}, err
-		}
-		if kind != colblob.FrameRecord {
-			continue // unknown/summary frames extend the stream compatibly
-		}
-		rec, err := br.dec.Decode(payload)
-		if err != nil {
-			// The frame checksum passed but the payload does not parse.
-			// Records chain, so nothing after this point can decode:
-			// terminal, like a torn tail.
-			return JournalRecord{}, err
-		}
-		return rec, nil
-	}
-}

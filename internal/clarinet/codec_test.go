@@ -15,22 +15,38 @@ import (
 	"repro/internal/align"
 	"repro/internal/colblob"
 	"repro/internal/delaynoise"
+	"repro/internal/journal"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
 )
 
-// TestCodecByName pins the flag vocabulary and the binary default.
+// TestCodecByName pins the batch journal's -journal-format names: each
+// selects the format a net journal is written in (the sniffed first
+// byte agrees), the empty name is the binary default, and an unknown
+// name is rejected.
 func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]JournalCodec{
-		"": Binary, "binary": Binary, "jsonl": JSONL, "json": JSONL,
+	rep := NetReport{Name: "n1", Res: cannedResult("n1"), Quality: resilience.QualityExact}
+	for name, want := range map[string]journal.Format{
+		"": journal.Binary, "binary": journal.Binary, "jsonl": journal.JSONL, "json": journal.JSONL,
 	} {
-		c, err := CodecByName(name)
-		if err != nil || c != want {
-			t.Fatalf("CodecByName(%q) = %v, %v", name, c, err)
+		f, err := journal.FormatByName(name)
+		if err != nil || f != want {
+			t.Fatalf("FormatByName(%q) = %v, %v", name, f, err)
+		}
+		var buf bytes.Buffer
+		if err := NewJournal(&buf, f).Record(rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := journal.Sniff(buf.Bytes()[0]); got != want {
+			t.Fatalf("%q journal sniffs as %s, want %s", name, got, want)
+		}
+		prior, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil || len(prior) != 1 || prior["n1"].Quality != resilience.QualityExact {
+			t.Fatalf("%q journal read back %v, %v", name, prior, err)
 		}
 	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Fatal("CodecByName accepted an unknown format")
+	if _, err := journal.FormatByName("protobuf"); err == nil {
+		t.Fatal("FormatByName accepted an unknown format")
 	}
 }
 
@@ -64,10 +80,10 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 		{Net: "n4", Quality: "heroic", Class: "future-class", Error: "x"},
 		{Net: ""},
 	}
-	var enc BinaryRecordEncoder
-	var dec BinaryRecordDecoder
+	var enc recordEncoder
+	var dec recordDecoder
 	for i, rec := range recs {
-		got, err := dec.Decode(enc.Append(nil, rec))
+		got, err := dec.decode(enc.append(nil, rec))
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -75,9 +91,9 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 			t.Fatalf("record %d:\n got  %+v\n want %+v", i, got, rec)
 		}
 	}
-	var fresh BinaryRecordDecoder
-	if _, err := fresh.Decode([]byte{3, 'a', 'b'}); err == nil {
-		t.Fatal("truncated payload decoded")
+	var fresh recordDecoder
+	if _, err := fresh.decode([]byte{3, 'a', 'b'}); !colblob.Corrupt(err) {
+		t.Fatalf("truncated payload: err = %v, want a terminal colblob.Corrupt error", err)
 	}
 }
 
@@ -126,10 +142,7 @@ func contains(vocab []string, s string) bool {
 // ReadJournal sniffing the format with no hint.
 func TestBinaryJournalRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJournalWith(&buf, Binary)
-	if got := j.Codec().Name(); got != "binary" {
-		t.Fatalf("codec = %q", got)
-	}
+	j := NewJournal(&buf, journal.Binary)
 	okRep := NetReport{Name: "good", Res: cannedResult("good"), Quality: resilience.QualityRescued}
 	failRep := NetReport{Name: "bad", Err: noiseerr.WithNet("bad", noiseerr.Numericalf("singular"))}
 	for _, r := range []NetReport{
@@ -143,8 +156,8 @@ func TestBinaryJournalRoundTrip(t *testing.T) {
 		}
 	}
 	// The torn tail a kill mid-write leaves: half a frame.
-	var tornEnc BinaryRecordEncoder
-	whole := colblob.AppendFrame(nil, colblob.FrameRecord, tornEnc.Append(nil, JournalRecord{Net: "torn"}))
+	var tornEnc recordEncoder
+	whole := colblob.AppendFrame(nil, colblob.FrameRecord, tornEnc.append(nil, JournalRecord{Net: "torn"}))
 	buf.Write(whole[:len(whole)-5])
 
 	prior, err := ReadJournal(bytes.NewReader(buf.Bytes()))
@@ -186,7 +199,7 @@ func TestBinaryJournalByteIdentical(t *testing.T) {
 	}
 	want := render(reports)
 	var buf bytes.Buffer
-	j := NewJournalWith(&buf, Binary)
+	j := NewJournal(&buf, journal.Binary)
 	for _, r := range reports {
 		if err := j.Record(r); err != nil {
 			t.Fatal(err)
@@ -241,8 +254,8 @@ func denseResult(name string) *delaynoise.Result {
 // the 300-net reference batch for the trajectory.)
 func TestBinaryJournalSmaller(t *testing.T) {
 	var bin, jsonl bytes.Buffer
-	bj := NewJournalWith(&bin, Binary)
-	jj := NewJournalWith(&jsonl, JSONL)
+	bj := NewJournal(&bin, journal.Binary)
+	jj := NewJournal(&jsonl, journal.JSONL)
 	const nets = 32
 	for i := 0; i < nets; i++ {
 		name := fmt.Sprintf("net_%04d_m3_vict", i)
@@ -260,16 +273,16 @@ func TestBinaryJournalSmaller(t *testing.T) {
 	}
 }
 
-// TestOpenJournalTornTailRepair is the file-level torn-tail test for
-// both codecs: kill a writer mid-record, reopen, append, and demand a
-// clean replay of everything but the torn record. Mirrors the JSONL
-// torn-line tests at the binary frame level, where repair truncates
-// instead of inserting a separator.
+// TestOpenJournalTornTailRepair drives the torn-tail repair through the
+// net-report surface in both formats: kill a writer mid-record, reopen
+// with OpenJournal, record, and demand ReadJournalFile replays every
+// report but the torn one. (The repair itself is tested over both
+// record types in package journal.)
 func TestOpenJournalTornTailRepair(t *testing.T) {
-	for _, codec := range []JournalCodec{Binary, JSONL} {
-		t.Run(codec.Name(), func(t *testing.T) {
+	for _, f := range []journal.Format{journal.Binary, journal.JSONL} {
+		t.Run(f.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.journal")
-			j, closeJ, err := OpenJournal(path, codec)
+			j, closeJ, err := OpenJournal(path, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,26 +295,23 @@ func TestOpenJournalTornTailRepair(t *testing.T) {
 			// Simulate the kill: append half an encoded record.
 			rec, _ := ToRecord(NetReport{Name: "torn", Res: cannedResult("torn")})
 			var encBuf bytes.Buffer
-			if err := codec.NewWriter(&encBuf).WriteRecord(rec); err != nil {
+			if err := journal.NewWriter(&encBuf, f, RecordCodec).Write(rec); err != nil {
 				t.Fatal(err)
 			}
 			enc := encBuf.Bytes()
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			file, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write(enc[:len(enc)/2]); err != nil {
+			if _, err := file.Write(enc[:len(enc)/2]); err != nil {
 				t.Fatal(err)
 			}
-			f.Close()
+			file.Close()
 
 			// Reopen: repair must confine the damage to the torn record.
-			j, closeJ, err = OpenJournal(path, codec)
+			j, closeJ, err = OpenJournal(path, f)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := j.Codec(); got != codec {
-				t.Fatalf("reopened codec = %v, want %v (sniff broke)", got, codec)
 			}
 			if err := j.Record(NetReport{Name: "second", Res: cannedResult("second")}); err != nil {
 				t.Fatal(err)
@@ -325,86 +335,5 @@ func TestOpenJournalTornTailRepair(t *testing.T) {
 				t.Fatal("torn record replayed")
 			}
 		})
-	}
-}
-
-// TestOpenJournalFormatSticky: an existing journal's format wins over
-// the requested codec, so a resumed run never interleaves encodings in
-// one file.
-func TestOpenJournalFormatSticky(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, closeJ, err := OpenJournal(path, JSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(NetReport{Name: "first", Res: cannedResult("first")}); err != nil {
-		t.Fatal(err)
-	}
-	closeJ()
-
-	// Reopen asking for binary: the sniffed JSONL must stick.
-	j, closeJ, err = OpenJournal(path, Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Codec().Name(); got != "jsonl" {
-		t.Fatalf("codec = %q, want jsonl (existing format must win)", got)
-	}
-	if err := j.Record(NetReport{Name: "second", Res: cannedResult("second")}); err != nil {
-		t.Fatal(err)
-	}
-	closeJ()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.IndexByte(data, colblob.FrameMagic) != -1 {
-		t.Fatal("binary frame interleaved into a JSONL journal")
-	}
-	prior, err := ReadJournalFile(path)
-	if err != nil || len(prior) != 2 {
-		t.Fatalf("replay = %d nets, %v", len(prior), err)
-	}
-}
-
-// TestBinaryJournalMidFileCorruption: a flipped byte mid-file costs the
-// records behind it (the frame chain breaks) but never fabricates one,
-// and repair-on-open truncates the unusable tail so appends work.
-func TestBinaryJournalMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, closeJ, err := OpenJournal(path, Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"a", "b", "c"} {
-		if err := j.Record(NetReport{Name: n, Res: cannedResult(n)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	closeJ()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prior, err := ReadJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prior) >= 3 {
-		t.Fatalf("corrupt journal replayed all %d nets", len(prior))
-	}
-	if _, _, err := OpenJournal(path, Binary); err != nil {
-		t.Fatalf("repair-on-open failed: %v", err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() >= int64(len(data)) {
-		t.Fatalf("repair left the corrupt tail in place (%d bytes)", st.Size())
 	}
 }

@@ -35,29 +35,29 @@ func fuzzSeedRecords() []JournalRecord {
 }
 
 // FuzzBinaryRecord throws arbitrary payloads at a fresh
-// BinaryRecordDecoder — the decoder's input is untrusted journal and
+// recordDecoder — the decoder's input is untrusted journal and
 // wire bytes, so it must reject garbage with an error, never panic.
 // Anything that decodes cleanly must survive a fresh
 // encode/decode round trip bit-exactly.
 func FuzzBinaryRecord(f *testing.F) {
 	for _, rec := range fuzzSeedRecords() {
-		var enc BinaryRecordEncoder
-		f.Add(enc.Append(nil, rec))
+		var enc recordEncoder
+		f.Add(enc.append(nil, rec))
 	}
 	// A chained second record too: fresh decoders will misread it, which
 	// is exactly the hostile-input shape worth mutating from.
-	var chain BinaryRecordEncoder
-	first := chain.Append(nil, fuzzSeedRecords()[0])
-	f.Add(chain.Append(nil, fuzzSeedRecords()[3])[len(first):])
+	var chain recordEncoder
+	first := chain.append(nil, fuzzSeedRecords()[0])
+	f.Add(chain.append(nil, fuzzSeedRecords()[3])[len(first):])
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var dec BinaryRecordDecoder
-		rec, err := dec.Decode(payload)
+		var dec recordDecoder
+		rec, err := dec.decode(payload)
 		if err != nil {
 			return
 		}
-		var enc2 BinaryRecordEncoder
-		var dec2 BinaryRecordDecoder
-		back, err := dec2.Decode(enc2.Append(nil, rec))
+		var enc2 recordEncoder
+		var dec2 recordDecoder
+		back, err := dec2.decode(enc2.append(nil, rec))
 		if err != nil {
 			t.Fatalf("re-decode of decoded record failed: %v", err)
 		}
@@ -111,8 +111,8 @@ func TestGenBinaryFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range fuzzSeedRecords() {
-		var enc BinaryRecordEncoder
-		payload := enc.Append(nil, rec)
+		var enc recordEncoder
+		payload := enc.append(nil, rec)
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
 		name := filepath.Join(dir, fmt.Sprintf("seed-%d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

@@ -1,13 +1,10 @@
 package clarinet
 
 import (
-	"bufio"
-	"errors"
 	"io"
-	"sync"
 
-	"repro/internal/colblob"
 	"repro/internal/delaynoise"
+	"repro/internal/journal"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
 )
@@ -123,38 +120,26 @@ func (rec JournalRecord) Report() (NetReport, bool) {
 	return rep, true
 }
 
-// Journal appends completed net reports to a record stream through a
-// JournalCodec. Every record is encoded and written individually under
-// a mutex, so a killed run loses at most the record being written —
-// which readers of either codec tolerate (torn JSONL line, torn binary
-// frame). A nil *Journal is a valid no-op sink.
-type Journal struct {
-	mu    sync.Mutex
-	rw    RecordWriter
-	codec JournalCodec
+// Journal appends completed net reports to a record log (see package
+// journal), in either format. A nil *Journal is a valid no-op sink.
+type Journal struct{ log *journal.Log[JournalRecord] }
+
+// NewJournal wraps w as an f-encoded journal sink. File-backed
+// journals go through OpenJournal.
+func NewJournal(w io.Writer, f journal.Format) *Journal {
+	return &Journal{log: journal.NewLog(w, f, RecordCodec)}
 }
 
-// NewJournal wraps w as a JSONL journal sink — the historical default
-// for raw writers and the debug view. File-backed journals go through
-// OpenJournal, which defaults to the binary codec. Pass an *os.File
-// opened with O_APPEND to make each record durable as it lands.
-func NewJournal(w io.Writer) *Journal { return NewJournalWith(w, JSONL) }
-
-// NewJournalWith wraps w as a journal sink using the given codec (nil
-// means the binary default).
-func NewJournalWith(w io.Writer, codec JournalCodec) *Journal {
-	if codec == nil {
-		codec = Binary
+// OpenJournal opens (creating if absent) the journal at path for
+// appending, repairing any torn final record a killed run left behind;
+// f selects the format of a new journal, while an existing one keeps
+// its own (journal.Open). The caller must invoke close when done.
+func OpenJournal(path string, f journal.Format) (j *Journal, close func() error, err error) {
+	log, close, err := journal.Open(path, f, RecordCodec)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &Journal{rw: codec.NewWriter(w), codec: codec}
-}
-
-// Codec reports the journal's encoding.
-func (j *Journal) Codec() JournalCodec {
-	if j == nil {
-		return nil
-	}
-	return j.codec
+	return &Journal{log: log}, close, nil
 }
 
 // Record appends one report. Cancellation-class reports are skipped —
@@ -170,9 +155,7 @@ func (j *Journal) Record(r NetReport) error {
 	if !ok {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rw.WriteRecord(rec)
+	return j.log.Append(rec)
 }
 
 // resumedError reconstructs a journaled failure: Error() reproduces the
@@ -188,37 +171,30 @@ func (e *resumedError) Error() string { return e.msg }
 
 func (e *resumedError) Unwrap() error { return e.class }
 
-// ReadJournal parses a batch journal — either codec, sniffed from the
-// first byte — into reports keyed by net name, ready to hand to
-// AnalyzeBatch as prior results. Malformed records — including the torn
-// tail of a killed run — are skipped, the last record for a net wins,
-// so journals survive crashes and appended resume runs.
+// ReadJournal parses a batch journal in either format into reports
+// keyed by net name, ready to hand to AnalyzeBatch as prior results.
+// Malformed records, the torn tail of a killed run included, are
+// skipped and the last record for a net wins, so journals survive
+// crashes and appended resume runs.
 func ReadJournal(r io.Reader) (map[string]NetReport, error) {
 	out := map[string]NetReport{}
-	br := bufio.NewReaderSize(r, 64*1024)
-	first, err := br.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return out, nil
+	return out, journal.Read(r, RecordCodec, collect(out))
+}
+
+// ReadJournalFile is ReadJournal over the file at path. A missing file
+// is not an error: it holds no reports, the natural state of a first
+// run.
+func ReadJournalFile(path string) (map[string]NetReport, error) {
+	out := map[string]NetReport{}
+	return out, journal.ReadFile(path, RecordCodec, collect(out))
+}
+
+// collect keys each record's report by net; records with no net or
+// neither outcome are torn and dropped.
+func collect(out map[string]NetReport) func(JournalRecord) {
+	return func(rec JournalRecord) {
+		if rep, ok := rec.Report(); ok {
+			out[rec.Net] = rep
 		}
-		return out, err
-	}
-	rr := SniffCodec(first[0]).NewReader(br)
-	for {
-		rec, err := rr.Next()
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrBadRecord):
-			continue // one malformed record; the stream goes on
-		case err == io.EOF || colblob.Corrupt(err):
-			return out, nil // clean end, or the torn tail of a killed run
-		default:
-			return out, err
-		}
-		rep, ok := rec.Report()
-		if !ok {
-			continue // a record with no net or neither outcome is torn
-		}
-		out[rec.Net] = rep
 	}
 }

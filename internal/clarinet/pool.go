@@ -89,8 +89,13 @@ func (t *Tool) AnalyzeNetWindow(ctx context.Context, name string, c *delaynoise.
 		switch {
 		case ctx.Err() != nil:
 			// The caller gave up on the whole batch: not a per-net
-			// failure, and not analyzed either.
+			// failure, and not analyzed either. The error is classed
+			// canceled to match, even when the solver returned first
+			// with its own failure (a convergence failure whose rescue
+			// the cancel cut short): a journal must not record the net
+			// as done, so a resumed run re-analyzes it.
 			m.Counter(mNetsCanceled).Inc()
+			err = noiseerr.Reclass(noiseerr.ErrCanceled, err)
 		case errors.Is(netCtx.Err(), context.DeadlineExceeded):
 			// The net's own budget expired while the batch kept going.
 			m.Counter(mNetsAnalyzed).Inc()

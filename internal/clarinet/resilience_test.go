@@ -16,6 +16,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/delaynoise"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/nlsim"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
@@ -104,8 +105,8 @@ func TestChaosBatch(t *testing.T) {
 				}
 			}
 
-			var journal bytes.Buffer
-			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&journal))
+			var jbuf bytes.Buffer
+			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&jbuf, journal.JSONL))
 
 			kindOf := map[string]faultinject.Kind{}
 			for k, nets := range exp {
@@ -168,7 +169,7 @@ func TestChaosBatch(t *testing.T) {
 
 			// Every net has a journal entry (nothing was canceled), and
 			// the journal replays to the same outcomes.
-			prior, err := ReadJournal(bytes.NewReader(journal.Bytes()))
+			prior, err := ReadJournal(bytes.NewReader(jbuf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +177,7 @@ func TestChaosBatch(t *testing.T) {
 				t.Errorf("journal has %d records, want %d", len(prior), len(names))
 			}
 			if out := os.Getenv("CHAOS_JOURNAL_OUT"); out != "" {
-				if err := os.WriteFile(fmt.Sprintf("%s.seed%d.jsonl", out, seed), journal.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(fmt.Sprintf("%s.seed%d.jsonl", out, seed), jbuf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -232,15 +233,15 @@ func TestResumeByteIdentical(t *testing.T) {
 	sink := &cancelAfter{n: 3, cancel: cancel}
 	stubAnalyze(t, faultinject.New(seed, cfg).WrapAnalyze(cannedAnalyze))
 	killed := MustNew(lib, toolCfg)
-	killed.AnalyzeBatch(ctx, names, cases, nil, NewJournal(sink))
+	killed.AnalyzeBatch(ctx, names, cases, nil, NewJournal(sink, journal.JSONL))
 	if got := killed.Metrics().Counter("nets.canceled").Value(); got == 0 {
 		t.Fatal("interrupted run canceled no nets; the kill came too late to test resume")
 	}
 
 	// Resume from the journal — with a torn trailing line, as a real
 	// kill mid-write would leave.
-	journal := append(sink.buf.Bytes(), []byte(`{"net":"torn","resu`)...)
-	prior, err := ReadJournal(bytes.NewReader(journal))
+	torn := append(sink.buf.Bytes(), []byte(`{"net":"torn","resu`)...)
+	prior, err := ReadJournal(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +256,42 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	if n := resumedTool.Metrics().Counter("nets.resumed").Value(); n != int64(len(prior)) {
 		t.Fatalf("nets.resumed = %d, want %d", n, len(prior))
+	}
+}
+
+// TestCancelDuringRescueNotJournaled pins the race behind a resumed run
+// that once disagreed with an uninterrupted one: the batch is canceled
+// after the solver returns a convergence failure but before the rescue
+// ladder runs. The net must report as canceled, so the journal leaves
+// it for the resumed run, instead of recording the unrescued failure.
+func TestCancelDuringRescueNotJournaled(t *testing.T) {
+	names, cases, lib := population(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stubAnalyze(t, func(context.Context, *delaynoise.Case, delaynoise.Options) (*delaynoise.Result, error) {
+		cancel()
+		return nil, noiseerr.Convergencef("newton stalled")
+	})
+	tool := MustNew(lib, Config{Resilience: resilience.Policy{DCHomotopy: true, FallbackToPrechar: true}})
+	rep := tool.AnalyzeNet(ctx, names[0], cases[0])
+	if noiseerr.Class(rep.Err) != noiseerr.ErrCanceled {
+		t.Fatalf("err = %v (class %s), want the canceled class", rep.Err, noiseerr.ClassName(rep.Err))
+	}
+	var se *noiseerr.StageError
+	if !errors.As(rep.Err, &se) || se.Net != names[0] {
+		t.Fatalf("canceled net lost its attribution: %v", rep.Err)
+	}
+	var buf bytes.Buffer
+	if err := NewJournal(&buf, journal.JSONL).Record(rep); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("journal recorded a canceled net: %q", buf.String())
+	}
+	m := tool.Metrics()
+	if m.Counter("nets.canceled").Value() != 1 || m.Counter("nets.failed").Value() != 0 {
+		t.Fatalf("nets.canceled = %d, nets.failed = %d, want 1 and 0",
+			m.Counter("nets.canceled").Value(), m.Counter("nets.failed").Value())
 	}
 }
 
@@ -407,7 +444,7 @@ func TestSolverRescueEndToEnd(t *testing.T) {
 // garbage lines are tolerated, and the last record for a net wins.
 func TestJournalRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j := NewJournal(&buf, journal.JSONL)
 	okRep := NetReport{Name: "good", Res: cannedResult("good"), Quality: resilience.QualityRescued}
 	if err := j.Record(okRep); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/delaynoise"
+	"repro/internal/journal"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
 )
@@ -26,8 +27,8 @@ func TestStreamBatchResume(t *testing.T) {
 		names[1]: {Res: cannedResult(names[1]), Quality: resilience.QualityRescued},
 		names[3]: {Err: &resumedError{msg: "net " + names[3] + ": recorded failure", class: noiseerr.ErrNumerical}},
 	}
-	var journal bytes.Buffer
-	ch := tool.StreamBatch(context.Background(), names, cases, prior, NewJournal(&journal))
+	var jbuf bytes.Buffer
+	ch := tool.StreamBatch(context.Background(), names, cases, prior, NewJournal(&jbuf, journal.JSONL))
 
 	var got []NetReport
 	for r := range ch {
@@ -54,7 +55,7 @@ func TestStreamBatchResume(t *testing.T) {
 		t.Fatalf("nets.resumed = %d, want 2", n)
 	}
 	// Only the two fresh nets hit the journal.
-	recs, err := ReadJournal(bytes.NewReader(journal.Bytes()))
+	recs, err := ReadJournal(bytes.NewReader(jbuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

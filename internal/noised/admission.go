@@ -3,25 +3,31 @@ package noised
 import (
 	"context"
 	"errors"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 )
 
-// errQueueFull is returned by acquire when the wait queue is at
-// capacity; the handler maps it to 503 + Retry-After.
-var errQueueFull = errors.New("noised: admission queue full")
+// ErrQueueFull is returned by Acquire when the wait queue is at
+// capacity; handlers map it to 503 + Retry-After.
+var ErrQueueFull = errors.New("admission queue full")
 
-// errDraining is returned by acquire once the server has begun its
+// ErrDraining is returned by Acquire once the gate has begun its
 // graceful drain.
-var errDraining = errors.New("noised: server draining")
+var ErrDraining = errors.New("draining")
 
-// admission is the server's load gate: a semaphore of analysis slots
-// fronted by a bounded wait queue. Its instantaneous state is exported
-// through the server.inflight and server.queue_depth gauges — the load
-// signals counters cannot express.
-type admission struct {
+// Gate is a load gate: a semaphore of work slots fronted by a bounded
+// wait queue. Its instantaneous state is exported through two gauges,
+// the load signals counters cannot express. A replica gates analysis
+// slots behind server.inflight and server.queue_depth; the gateway
+// gates coordination slots behind gw.inflight and gw.queue_depth, so
+// it sheds its clients rather than queueing unboundedly on a saturated
+// fleet.
+type Gate struct {
 	slots    chan struct{}
 	mu       sync.Mutex
 	queued   int
@@ -32,59 +38,86 @@ type admission struct {
 	queueDepth *metrics.Gauge
 }
 
-func newAdmission(maxInflight, maxQueue int, reg *metrics.Registry) *admission {
-	return &admission{
+// NewGate builds a gate of maxInflight slots and a maxQueue-deep wait
+// queue reporting into the two gauges.
+func NewGate(maxInflight, maxQueue int, inflight, queueDepth *metrics.Gauge) *Gate {
+	return &Gate{
 		slots:      make(chan struct{}, maxInflight),
 		maxQueue:   maxQueue,
-		inflight:   reg.Gauge(mServerInflight),
-		queueDepth: reg.Gauge(mServerQueueDepth),
+		inflight:   inflight,
+		queueDepth: queueDepth,
 	}
 }
 
-func (a *admission) drain()         { a.drained.Store(true) }
-func (a *admission) draining() bool { return a.drained.Load() }
+// Drain makes every later Acquire fail with ErrDraining.
+func (g *Gate) Drain() { g.drained.Store(true) }
 
-// acquire claims an analysis slot, waiting in the bounded queue when
-// every slot is busy. It fails fast with errDraining during shutdown,
-// with errQueueFull when the queue is at capacity, and with the
-// context's error when the caller gives up while queued. On success the
-// caller must release.
-func (a *admission) acquire(ctx context.Context) error {
-	if a.draining() {
-		return errDraining
+// Draining reports whether Drain has been called.
+func (g *Gate) Draining() bool { return g.drained.Load() }
+
+// Acquire claims a slot, waiting in the bounded queue when every slot
+// is busy. It fails fast with ErrDraining during shutdown, with
+// ErrQueueFull when the queue is at capacity, and with the context's
+// error when the caller gives up while queued. On success the caller
+// must Release.
+func (g *Gate) Acquire(ctx context.Context) error {
+	if g.Draining() {
+		return ErrDraining
 	}
 	// Fast path: a free slot, no queueing.
 	select {
-	case a.slots <- struct{}{}:
-		a.inflight.Inc()
+	case g.slots <- struct{}{}:
+		g.inflight.Inc()
 		return nil
 	default:
 	}
-	a.mu.Lock()
-	if a.queued >= a.maxQueue {
-		a.mu.Unlock()
-		return errQueueFull
+	g.mu.Lock()
+	if g.queued >= g.maxQueue {
+		g.mu.Unlock()
+		return ErrQueueFull
 	}
-	a.queued++
-	a.queueDepth.Set(int64(a.queued))
-	a.mu.Unlock()
+	g.queued++
+	g.queueDepth.Set(int64(g.queued))
+	g.mu.Unlock()
 	defer func() {
-		a.mu.Lock()
-		a.queued--
-		a.queueDepth.Set(int64(a.queued))
-		a.mu.Unlock()
+		g.mu.Lock()
+		g.queued--
+		g.queueDepth.Set(int64(g.queued))
+		g.mu.Unlock()
 	}()
 	select {
-	case a.slots <- struct{}{}:
-		a.inflight.Inc()
+	case g.slots <- struct{}{}:
+		g.inflight.Inc()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// release returns an analysis slot claimed by acquire.
-func (a *admission) release() {
-	<-a.slots
-	a.inflight.Dec()
+// Release returns a slot claimed by Acquire.
+func (g *Gate) Release() {
+	<-g.slots
+	g.inflight.Dec()
+}
+
+// Shed answers one request 503 with the Retry-After backoff hint,
+// rounded up to whole seconds so a sub-second hint does not collapse to
+// "0".
+func Shed(w http.ResponseWriter, retryAfter time.Duration, reason string) {
+	secs := int64((retryAfter + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	http.Error(w, reason, http.StatusServiceUnavailable)
+}
+
+// ParseRetryAfter reads a delay-seconds Retry-After value, the only
+// form Shed emits; anything else maps to zero.
+func ParseRetryAfter(v string) time.Duration {
+	secs, err := strconv.Atoi(v)
+	if err != nil || secs < 0 {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }

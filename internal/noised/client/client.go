@@ -270,7 +270,7 @@ func (c *Client) attempt(ctx context.Context, u string, cases []byte, res *Resul
 		case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout, http.StatusTooManyRequests:
 			return false, &retryableError{
 				err:   noiseerr.Internalf("client: server answered %s: %s", resp.Status, body),
-				after: parseRetryAfter(resp.Header.Get("Retry-After")),
+				after: noised.ParseRetryAfter(resp.Header.Get("Retry-After")),
 			}
 		}
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
@@ -332,7 +332,7 @@ func (c *Client) consumeNDJSON(body io.Reader, res *Result, seen map[string]int,
 // carries the same JSON summary the NDJSON wire ends with.
 func (c *Client) consumeColblob(body io.Reader, res *Result, seen map[string]int, onRecord func(clarinet.JournalRecord)) (bool, error) {
 	fr := colblob.NewFrameReader(body)
-	var dec clarinet.BinaryRecordDecoder
+	decode := clarinet.RecordCodec.NewDecoder()
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -342,7 +342,7 @@ func (c *Client) consumeColblob(body io.Reader, res *Result, seen map[string]int
 		}
 		switch kind {
 		case colblob.FrameRecord:
-			rec, err := dec.Decode(payload)
+			rec, err := decode(payload)
 			if err != nil {
 				return false, &retryableError{err: fmt.Errorf("client: malformed stream record: %w", err)}
 			}
@@ -392,17 +392,4 @@ func (c *Client) fold(res *Result, seen map[string]int, rec clarinet.JournalReco
 	if onRecord != nil {
 		onRecord(rec)
 	}
-}
-
-// parseRetryAfter reads a delay-seconds Retry-After value (the only
-// form noised emits); anything else maps to zero.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

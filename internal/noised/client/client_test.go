@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/clarinet"
 	"repro/internal/colblob"
+	"repro/internal/journal"
 	"repro/internal/noiseerr"
 )
 
@@ -55,14 +56,14 @@ func summaryLine(nets, ok int, deadline bool) string {
 func colblobBody(t *testing.T, sum string, nets ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	rw := clarinet.Binary.NewWriter(&buf)
+	rw := journal.NewWriter(&buf, journal.Binary, clarinet.RecordCodec)
 	for _, n := range nets {
 		rec := clarinet.JournalRecord{
 			Net:     n,
 			Quality: "exact",
 			Result:  &clarinet.JournalResult{DelayNoise: 1e-12, Iterations: 1},
 		}
-		if err := rw.WriteRecord(rec); err != nil {
+		if err := rw.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

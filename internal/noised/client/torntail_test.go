@@ -62,7 +62,7 @@ func TestColblobTornTailOverHTTP(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	fr := colblob.NewFrameReader(resp.Body)
-	var dec clarinet.BinaryRecordDecoder
+	decode := clarinet.RecordCodec.NewDecoder()
 	frames := 0
 	for {
 		kind, payload, err := fr.Next()
@@ -76,7 +76,7 @@ func TestColblobTornTailOverHTTP(t *testing.T) {
 			break
 		}
 		if kind == colblob.FrameRecord {
-			if _, err := dec.Decode(payload); err != nil {
+			if _, err := decode(payload); err != nil {
 				t.Fatalf("intact frame %d failed to decode: %v", frames, err)
 			}
 		}

@@ -78,22 +78,6 @@ var requestIDPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$`)
 // deriving its per-shard sub-request IDs from them.
 func ValidRequestID(id string) bool { return requestIDPattern.MatchString(id) }
 
-// retryAfterSeconds renders the Retry-After hint, rounding up so a
-// sub-second hint does not collapse to "0".
-func (s *Server) retryAfterSeconds() string {
-	secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// unavailable sheds one request: 503 with the Retry-After backoff hint.
-func (s *Server) unavailable(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	http.Error(w, reason, http.StatusServiceUnavailable)
-}
-
 // Options are the per-request knobs of the analyze endpoints, parsed
 // from the query string and the X-Request-ID header over a caller's
 // defaults. The server overlays its configured defaults; a gateway
@@ -237,9 +221,9 @@ type runEnd struct {
 // summary.
 func serve[T, R, S any](s *Server, w http.ResponseWriter, r *http.Request, u *unit[T, R, S]) {
 	s.reg.Counter(mServerRequests).Inc()
-	if s.adm.draining() {
+	if s.adm.Draining() {
 		s.reg.Counter(mServerRejectedDraining).Inc()
-		s.unavailable(w, "draining")
+		Shed(w, s.cfg.RetryAfter, "draining")
 		return
 	}
 	opt, err := ParseOptions(r, s.defaultOptions(), u.paths, s.cfg.MaxRequestTimeout)
@@ -257,12 +241,12 @@ func serve[T, R, S any](s *Server, w http.ResponseWriter, r *http.Request, u *un
 	}
 
 	// Admission: wait for an analysis slot in the bounded queue.
-	switch err := s.adm.acquire(r.Context()); err {
+	switch err := s.adm.Acquire(r.Context()); err {
 	case nil:
-		defer s.adm.release()
-	case errQueueFull, errDraining:
+		defer s.adm.Release()
+	case ErrQueueFull, ErrDraining:
 		s.reg.Counter(mServerRejectedQueue).Inc()
-		s.unavailable(w, err.Error())
+		Shed(w, s.cfg.RetryAfter, err.Error())
 		return
 	default:
 		// The client went away while queued; nothing to answer.
@@ -376,7 +360,7 @@ stream:
 		requestID: opt.RequestID,
 		elapsedMS: time.Since(start).Milliseconds(),
 		deadline:  ctx.Err() == context.DeadlineExceeded,
-		draining:  s.adm.draining(),
+		draining:  s.adm.Draining(),
 	})
 	if err := stream.Summary(sum); err == nil {
 		rc.Flush()
@@ -433,7 +417,7 @@ func (j *netJob) openJournal(s *Server, path string) (int, func() error, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	journal, closeJournal, err := clarinet.OpenJournal(path, s.cfg.JournalCodec)
+	journal, closeJournal, err := clarinet.OpenJournal(path, s.cfg.JournalFormat)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -484,7 +468,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Instance:     s.instance,
 		Build:        buildinfo.Current(),
 		UptimeS:      time.Since(s.started).Seconds(),
-		Draining:     s.adm.draining(),
+		Draining:     s.adm.Draining(),
 		Inflight:     snap.Gauges[mServerInflight],
 		QueueDepth:   snap.Gauges[mServerQueueDepth],
 		TablesCached: s.session.TableCount(),
@@ -502,8 +486,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(InstanceHeader, s.instance)
-	if s.adm.draining() {
-		s.unavailable(w, "draining")
+	if s.adm.Draining() {
+		Shed(w, s.cfg.RetryAfter, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -91,7 +91,7 @@ func TestHeartbeatColblob(t *testing.T) {
 	}()
 
 	fr := colblob.NewFrameReader(resp.Body)
-	var dec clarinet.BinaryRecordDecoder
+	decode := clarinet.RecordCodec.NewDecoder()
 	var sum *Summary
 	beats, records := 0, 0
 	for {
@@ -109,7 +109,7 @@ func TestHeartbeatColblob(t *testing.T) {
 			}
 			beats++
 		case colblob.FrameRecord:
-			if _, err := dec.Decode(payload); err != nil {
+			if _, err := decode(payload); err != nil {
 				t.Fatal(err)
 			}
 			records++

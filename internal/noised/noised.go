@@ -51,6 +51,7 @@ import (
 	"repro/internal/clarinet"
 	"repro/internal/delaynoise"
 	"repro/internal/engine"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/noiseerr"
 	"repro/internal/pathnoise"
@@ -123,10 +124,10 @@ type Config struct {
 	// resumes from that file (legacy <request_id>.jsonl journals are
 	// merged underneath). Empty disables journaling.
 	JournalDir string
-	// JournalCodec selects the journal encoding for new journal files
-	// (nil = the compact binary default; clarinet.JSONL for the debug
-	// view). Existing journals keep their own sniffed format.
-	JournalCodec clarinet.JournalCodec
+	// JournalFormat selects the encoding of new journal files, net and
+	// path alike (zero = the compact binary default; journal.JSONL for
+	// the debug view). Existing journals keep their own sniffed format.
+	JournalFormat journal.Format
 
 	// WarmStoreDir enables the content-addressed warm-start store: at
 	// startup the session seeds its caches from the entry matching its
@@ -201,7 +202,7 @@ type Server struct {
 	session  *engine.Session
 	store    *warmstore.Store
 	reg      *metrics.Registry
-	adm      *admission
+	adm      *Gate
 	mux      *http.ServeMux
 	started  time.Time
 	instance string
@@ -253,7 +254,7 @@ func New(cfg Config) (*Server, error) {
 		},
 		runPaths: pathnoise.Run,
 	}
-	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, s.reg)
+	s.adm = NewGate(cfg.MaxInflight, cfg.MaxQueue, s.reg.Gauge(mServerInflight), s.reg.Gauge(mServerQueueDepth))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/analyze-path", s.handleAnalyzePath)
@@ -301,9 +302,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Draining reports whether the server has begun its graceful drain.
-func (s *Server) Draining() bool { return s.adm.draining() }
+func (s *Server) Draining() bool { return s.adm.Draining() }
 
 // Drain flips the server into drain mode: /readyz answers 503 and new
 // analysis requests are refused while in-flight streams run to
 // completion. Drain is idempotent.
-func (s *Server) Drain() { s.adm.drain() }
+func (s *Server) Drain() { s.adm.Drain() }

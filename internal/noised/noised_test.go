@@ -195,7 +195,7 @@ func TestAnalyzeStreamColblob(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	fr := colblob.NewFrameReader(resp.Body)
-	var dec clarinet.BinaryRecordDecoder
+	decode := clarinet.RecordCodec.NewDecoder()
 	seen := map[string]bool{}
 	var sum *Summary
 	for {
@@ -211,7 +211,7 @@ func TestAnalyzeStreamColblob(t *testing.T) {
 			if sum != nil {
 				t.Fatal("record frame after the summary frame")
 			}
-			rec, err := dec.Decode(payload)
+			rec, err := decode(payload)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"repro/internal/clarinet"
+	"repro/internal/journal"
 	"repro/internal/noiseerr"
 	"repro/internal/pathnoise"
 	"repro/internal/workload"
@@ -60,7 +61,7 @@ const maxPathIterations = 8
 // journal), then a {"pathSummary": ...} line or summary frame.
 var PathWire = Wire[pathnoise.StageRecord, PathSummary]{
 	Records: func(w io.Writer) func(pathnoise.StageRecord) error {
-		return pathnoise.BinaryStages.NewWriter(w).WriteStage
+		return journal.NewWriter(w, journal.Binary, pathnoise.StageRecordCodec).Write
 	},
 	Line: func(heartbeat bool, sum *PathSummary) any {
 		return PathStreamLine{Heartbeat: heartbeat, Summary: sum}
@@ -109,11 +110,11 @@ func (j *pathJob) openJournal(s *Server, path string) (int, func() error, error)
 	if err != nil {
 		return 0, nil, err
 	}
-	journal, closeJournal, err := pathnoise.OpenPathJournal(path, s.stageCodec())
+	stages, closeJournal, err := journal.Open(path, s.cfg.JournalFormat, pathnoise.StageRecordCodec)
 	if err != nil {
 		return 0, nil, err
 	}
-	j.prior, j.journal = prior, journal
+	j.prior, j.journal = prior, stages
 	return len(prior), closeJournal, nil
 }
 
@@ -161,17 +162,4 @@ func (j *pathJob) summary(end runEnd) *PathSummary {
 		}
 	}
 	return sum
-}
-
-// stageCodec resolves the configured journal codec to its stage-journal
-// counterpart (the codec names are shared).
-func (s *Server) stageCodec() pathnoise.StageCodec {
-	if s.cfg.JournalCodec == nil {
-		return nil // binary default
-	}
-	codec, err := pathnoise.StageCodecByName(s.cfg.JournalCodec.Name())
-	if err != nil {
-		return nil
-	}
-	return codec
 }

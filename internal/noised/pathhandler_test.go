@@ -92,7 +92,7 @@ func fakeStageRun(ctx context.Context, tool *clarinet.Tool, paths []*pathnoise.P
 					},
 				}
 				if opt.Journal != nil {
-					opt.Journal.Record(rec)
+					opt.Journal.Append(rec)
 				}
 			}
 			recs[rec.Key()] = rec

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clarinet"
 	"repro/internal/colblob"
+	"repro/internal/journal"
 )
 
 // StreamWriter writes one analyze response: records in completion
@@ -26,8 +27,8 @@ type StreamWriter[R, S any] interface {
 // themselves go out on NDJSON bare, one per line.
 type Wire[R, S any] struct {
 	// Records returns the colblob record-frame writer over w: the
-	// binary journal codec's writer, so the binary wire and the binary
-	// journal share one encoding (and its compression state).
+	// binary journal writer, so the binary wire and the binary journal
+	// share one encoding (and its compression state).
 	Records func(w io.Writer) func(R) error
 	// Line wraps a heartbeat (heartbeat true, sum nil) or the summary
 	// as one NDJSON line.
@@ -38,7 +39,7 @@ type Wire[R, S any] struct {
 // a {"summary": ...} line or summary frame.
 var NetWire = Wire[clarinet.JournalRecord, Summary]{
 	Records: func(w io.Writer) func(clarinet.JournalRecord) error {
-		return clarinet.Binary.NewWriter(w).WriteRecord
+		return journal.NewWriter(w, journal.Binary, clarinet.RecordCodec).Write
 	},
 	Line: func(heartbeat bool, sum *Summary) any {
 		return StreamLine{Heartbeat: heartbeat, Summary: sum}

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -282,7 +281,7 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 	case http.StatusServiceUnavailable, http.StatusTooManyRequests:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		r.g.reg.Counter(mGwShardShed).Inc()
-		return streamShed, parseRetryAfter(resp.Header.Get("Retry-After"))
+		return streamShed, noised.ParseRetryAfter(resp.Header.Get("Retry-After"))
 	default:
 		// The replica rejected a request the gateway already validated —
 		// a version skew or a bug, not load. Treat it as a failure so
@@ -442,17 +441,4 @@ func (r *run[U, R, S]) subRequestID(units []U) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%s-%s%08x", r.requestID, r.unit.family, h.Sum64()&0xffffffff)
-}
-
-// parseRetryAfter reads a delay-seconds Retry-After value; anything
-// else maps to zero.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -31,22 +30,6 @@ type Health struct {
 	Replicas        []replicaHealth `json:"replicas"`
 }
 
-// retryAfterSeconds renders the Retry-After hint, rounding up so a
-// sub-second hint does not collapse to "0".
-func (g *Gateway) retryAfterSeconds() string {
-	secs := int64((g.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// unavailable sheds one request: 503 with the Retry-After backoff hint.
-func (g *Gateway) unavailable(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", g.retryAfterSeconds())
-	http.Error(w, reason, http.StatusServiceUnavailable)
-}
-
 // handleAnalyze is POST /v1/analyze.
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) { serve(g, w, r, netUnit) }
 
@@ -58,9 +41,9 @@ func (g *Gateway) handleAnalyzePath(w http.ResponseWriter, r *http.Request) { se
 // records to the client in the replicas' own wire.
 func serve[U, R, S any](g *Gateway, w http.ResponseWriter, r *http.Request, u *unit[U, R, S]) {
 	g.reg.Counter(mGwRequests).Inc()
-	if g.adm.draining() {
+	if g.adm.Draining() {
 		g.reg.Counter(mGwRejectedDraining).Inc()
-		g.unavailable(w, "draining")
+		noised.Shed(w, g.cfg.RetryAfter, "draining")
 		return
 	}
 	// The replicas' own option parser: the gateway fails fast with 400
@@ -89,12 +72,12 @@ func serve[U, R, S any](g *Gateway, w http.ResponseWriter, r *http.Request, u *u
 		return
 	}
 
-	switch err := g.adm.acquire(r.Context()); err {
+	switch err := g.adm.Acquire(r.Context()); err {
 	case nil:
-		defer g.adm.release()
-	case errQueueFull, errDraining:
+		defer g.adm.Release()
+	case noised.ErrQueueFull, noised.ErrDraining:
 		g.reg.Counter(mGwRejectedQueue).Inc()
-		g.unavailable(w, err.Error())
+		noised.Shed(w, g.cfg.RetryAfter, err.Error())
 		return
 	default:
 		return // the client went away while queued
@@ -122,7 +105,7 @@ func serve[U, R, S any](g *Gateway, w http.ResponseWriter, r *http.Request, u *u
 	}
 	if err := run.scatter(); err != nil {
 		g.reg.Counter(mGwRejectedNoReplicas).Inc()
-		g.unavailable(w, err.Error())
+		noised.Shed(w, g.cfg.RetryAfter, err.Error())
 		return
 	}
 
@@ -182,7 +165,7 @@ merge:
 	}
 	// Every worker has exited: units still unfinished are definitively
 	// incomplete.
-	end := runEnd{ctx: ctx, requestID: opt.RequestID, elapsedMS: time.Since(start).Milliseconds(), draining: g.adm.draining()}
+	end := runEnd{ctx: ctx, requestID: opt.RequestID, elapsedMS: time.Since(start).Milliseconds(), draining: g.adm.Draining()}
 	if err := b.finish(stream, end); err == nil {
 		rc.Flush()
 	}
@@ -202,7 +185,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Instance:        g.instance,
 		Build:           buildinfo.Current(),
 		UptimeS:         time.Since(g.started).Seconds(),
-		Draining:        g.adm.draining(),
+		Draining:        g.adm.Draining(),
 		Inflight:        snap.Gauges[mGwInflight],
 		QueueDepth:      snap.Gauges[mGwQueueDepth],
 		ReplicasHealthy: healthy,
@@ -225,12 +208,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(noised.InstanceHeader, g.instance)
-	if g.adm.draining() {
-		g.unavailable(w, "draining")
+	if g.adm.Draining() {
+		noised.Shed(w, g.cfg.RetryAfter, "draining")
 		return
 	}
 	if len(g.set.healthyNames()) == 0 {
-		g.unavailable(w, errNoReplicas.Error())
+		noised.Shed(w, g.cfg.RetryAfter, errNoReplicas.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/noised"
 	"repro/internal/noiseerr"
 )
 
@@ -216,7 +217,7 @@ type Gateway struct {
 	reg      *metrics.Registry
 	client   *http.Client
 	set      *replicaSet
-	adm      *admission
+	adm      *noised.Gate
 	mux      *http.ServeMux
 	started  time.Time
 	instance string
@@ -240,7 +241,7 @@ func New(cfg Config) (*Gateway, error) {
 		instance: newInstanceID(),
 	}
 	g.set = newReplicaSet(g, cfg.Replicas)
-	g.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, reg)
+	g.adm = noised.NewGate(cfg.MaxInflight, cfg.MaxQueue, reg.Gauge(mGwInflight), reg.Gauge(mGwQueueDepth))
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/analyze", g.handleAnalyze)
 	g.mux.HandleFunc("POST /v1/analyze-path", g.handleAnalyzePath)
@@ -261,11 +262,11 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 func (g *Gateway) Instance() string { return g.instance }
 
 // Draining reports whether the gateway has begun its graceful drain.
-func (g *Gateway) Draining() bool { return g.adm.draining() }
+func (g *Gateway) Draining() bool { return g.adm.Draining() }
 
 // Drain flips the gateway into drain mode: /readyz answers 503 and new
 // requests are refused while in-flight merges run to completion.
-func (g *Gateway) Drain() { g.adm.drain() }
+func (g *Gateway) Drain() { g.adm.Drain() }
 
 // ProbeReplicas runs one health-probe round outside the Serve loop —
 // embedders and tests advance the replica state machine with it.

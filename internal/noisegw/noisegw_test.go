@@ -547,7 +547,7 @@ func TestGatewayColblob(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	fr := colblob.NewFrameReader(resp.Body)
-	var dec clarinet.BinaryRecordDecoder
+	decode := clarinet.RecordCodec.NewDecoder()
 	var recs []clarinet.JournalRecord
 	var sum *noised.Summary
 	for {
@@ -560,7 +560,7 @@ func TestGatewayColblob(t *testing.T) {
 		}
 		switch kind {
 		case colblob.FrameRecord:
-			rec, err := dec.Decode(payload)
+			rec, err := decode(payload)
 			if err != nil {
 				t.Fatal(err)
 			}

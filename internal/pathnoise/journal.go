@@ -1,17 +1,11 @@
 package pathnoise
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"sync"
 
-	"repro/internal/clarinet"
 	"repro/internal/colblob"
-	"repro/internal/noiseerr"
+	"repro/internal/journal"
 )
 
 // Path journals checkpoint a path run at stage granularity: one record
@@ -19,7 +13,7 @@ import (
 // outcome and the stage's receiver-output waveform series. The
 // waveforms are what make stage-granular resume possible — a resumed
 // run rebuilds the handoff into the next stage from the journal instead
-// of re-simulating the stages it already has — so both codecs store
+// of re-simulating the stages it already has — so both formats store
 // them losslessly (colblob float columns / JSON shortest-round-trip
 // float64). Binary records are self-contained frames (kind
 // colblob.FramePathStage, no cross-record chaining): waveform payloads
@@ -102,114 +96,22 @@ type StageRecord struct {
 // Key returns the record's journal identity.
 func (r *StageRecord) Key() StageKey { return StageKey{Path: r.Path, Stage: r.Stage, Iter: r.Iter} }
 
-// StageCodec encodes a stage-record stream; the two implementations
-// mirror the clarinet journal codecs (binary default, JSONL debug) and
-// share their wire content types.
-type StageCodec interface {
-	Name() string
-	ContentType() string
-	NewWriter(w io.Writer) StageWriter
-	NewReader(r io.Reader) StageReader
+// PathJournal is the stage-record log of a path run (see package
+// journal); a nil *PathJournal is a valid no-op sink.
+type PathJournal = journal.Log[StageRecord]
+
+// StageRecordCodec is the binary journal and wire encoding of stage
+// records: one self-contained colblob FramePathStage frame per record.
+// A payload that fails to decode costs only its own record.
+var StageRecordCodec = journal.Codec[StageRecord]{
+	Kind:       colblob.FramePathStage,
+	NewEncoder: func() func([]byte, StageRecord) []byte { return appendStagePayload },
+	NewDecoder: func() func([]byte) (StageRecord, error) { return decodeStagePayload },
 }
 
-// StageWriter appends records to one encoded stream. Writers are not
-// concurrency-safe; PathJournal adds the mutex.
-type StageWriter interface {
-	WriteStage(rec StageRecord) error
-}
-
-// StageReader iterates a stage-record stream: io.EOF at a clean end,
-// ErrBadStage for one skippable bad record, a colblob.Corrupt error at
-// the torn tail a killed binary writer leaves.
-type StageReader interface {
-	Next() (StageRecord, error)
-}
-
-// ErrBadStage marks one undecodable record in an otherwise readable
-// stream; readers skip it and continue.
-var ErrBadStage = errors.New("pathnoise: bad stage record")
-
-// The two codecs.
-var (
-	BinaryStages StageCodec = binaryStageCodec{}
-	JSONLStages  StageCodec = jsonlStageCodec{}
-)
-
-// StageCodecByName resolves a journal-format flag value; empty selects
-// the binary default.
-func StageCodecByName(name string) (StageCodec, error) {
-	switch name {
-	case "", "binary":
-		return BinaryStages, nil
-	case "jsonl", "json":
-		return JSONLStages, nil
-	default:
-		return nil, noiseerr.Invalidf("pathnoise: unknown journal format %q (want binary or jsonl)", name)
-	}
-}
-
-// SniffStageCodec identifies a stream's codec from its first byte.
-func SniffStageCodec(first byte) StageCodec {
-	if first == colblob.FrameMagic {
-		return BinaryStages
-	}
-	return JSONLStages
-}
-
-// --- JSONL ------------------------------------------------------------
-
-type jsonlStageCodec struct{}
-
-func (jsonlStageCodec) Name() string        { return "jsonl" }
-func (jsonlStageCodec) ContentType() string { return clarinet.ContentTypeNDJSON }
-
-func (jsonlStageCodec) NewWriter(w io.Writer) StageWriter { return &jsonlStageWriter{w: w} }
-
-type jsonlStageWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (jw *jsonlStageWriter) WriteStage(rec StageRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	jw.buf = append(jw.buf[:0], line...)
-	jw.buf = append(jw.buf, '\n')
-	_, err = jw.w.Write(jw.buf)
-	return err
-}
-
-func (jsonlStageCodec) NewReader(r io.Reader) StageReader {
-	sc := bufio.NewScanner(r)
-	// Waveform series inflate JSONL records well past the clarinet
-	// journal's line sizes.
-	sc.Buffer(make([]byte, 0, 256*1024), 16<<20)
-	return &jsonlStageReader{sc: sc}
-}
-
-type jsonlStageReader struct{ sc *bufio.Scanner }
-
-func (jr *jsonlStageReader) Next() (StageRecord, error) {
-	for jr.sc.Scan() {
-		line := jr.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec StageRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return StageRecord{}, ErrBadStage
-		}
-		return rec, nil
-	}
-	if err := jr.sc.Err(); err != nil {
-		return StageRecord{}, err
-	}
-	return StageRecord{}, io.EOF
-}
-
-// --- binary -----------------------------------------------------------
+// errBadStage marks a stage payload that does not parse. It is not
+// colblob.Corrupt: readers skip the one frame.
+var errBadStage = errors.New("pathnoise: bad stage record")
 
 // Flag bits of the binary stage payload.
 const (
@@ -278,7 +180,7 @@ func appendStagePayload(dst []byte, rec StageRecord) []byte {
 func decodeStagePayload(payload []byte) (StageRecord, error) {
 	var rec StageRecord
 	var err error
-	bad := func() (StageRecord, error) { return StageRecord{}, ErrBadStage }
+	bad := func() (StageRecord, error) { return StageRecord{}, errBadStage }
 	if rec.Path, payload, err = colblob.ReadString(payload); err != nil {
 		return bad()
 	}
@@ -345,253 +247,28 @@ func decodeStagePayload(payload []byte) (StageRecord, error) {
 	return rec, nil
 }
 
-// DecodeStage decodes one FramePathStage payload (as surfaced by a
-// colblob.FrameReader) into its record — the frame-by-frame entry point
-// inspection tools use when walking mixed-kind streams themselves.
-func DecodeStage(payload []byte) (StageRecord, error) {
-	return decodeStagePayload(payload)
-}
-
-type binaryStageCodec struct{}
-
-func (binaryStageCodec) Name() string        { return "binary" }
-func (binaryStageCodec) ContentType() string { return clarinet.ContentTypeColblob }
-
-func (binaryStageCodec) NewWriter(w io.Writer) StageWriter { return &binaryStageWriter{w: w} }
-
-type binaryStageWriter struct {
-	w       io.Writer
-	payload []byte
-	frame   []byte
-}
-
-func (bw *binaryStageWriter) WriteStage(rec StageRecord) error {
-	bw.payload = appendStagePayload(bw.payload[:0], rec)
-	bw.frame = colblob.AppendFrame(bw.frame[:0], colblob.FramePathStage, bw.payload)
-	_, err := bw.w.Write(bw.frame)
-	return err
-}
-
-func (binaryStageCodec) NewReader(r io.Reader) StageReader {
-	return &binaryStageReader{fr: colblob.NewFrameReader(r)}
-}
-
-type binaryStageReader struct{ fr *colblob.FrameReader }
-
-func (br *binaryStageReader) Next() (StageRecord, error) {
-	for {
-		kind, payload, err := br.fr.Next()
-		if err != nil {
-			return StageRecord{}, err
-		}
-		if kind != colblob.FramePathStage {
-			continue // summary/heartbeat/unknown frames extend the stream compatibly
-		}
-		rec, err := decodeStagePayload(payload)
-		if err != nil {
-			// The frame checksum passed but the payload does not parse.
-			// Frames are self-contained, so the reader can skip it.
-			return StageRecord{}, ErrBadStage
-		}
-		return rec, nil
-	}
-}
-
-// --- journal sink and file handling -----------------------------------
-
-// PathJournal appends stage records through a codec under a mutex, so a
-// killed run loses at most the record being written. A nil *PathJournal
-// is a valid no-op sink.
-type PathJournal struct {
-	mu    sync.Mutex
-	sw    StageWriter
-	codec StageCodec
-}
-
-// NewPathJournal wraps w as a journal sink using codec (nil selects the
-// binary default).
-func NewPathJournal(w io.Writer, codec StageCodec) *PathJournal {
-	if codec == nil {
-		codec = BinaryStages
-	}
-	return &PathJournal{sw: codec.NewWriter(w), codec: codec}
-}
-
-// Codec reports the journal's encoding.
-func (j *PathJournal) Codec() StageCodec {
-	if j == nil {
-		return nil
-	}
-	return j.codec
-}
-
-// Record appends one stage record.
-func (j *PathJournal) Record(rec StageRecord) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sw.WriteStage(rec)
-}
-
-// ReadPathJournal parses a stage journal (either codec, sniffed from
-// the first byte) into records keyed by (path, stage, iter). Malformed
-// records — including the torn tail of a killed run — are skipped; the
-// last record for a key wins, so journals survive crashes and appended
-// resume runs.
+// ReadPathJournal parses a stage journal in either format into
+// records keyed by (path, stage, iter). Malformed records, the torn
+// tail of a killed run included, are skipped; the last record for a
+// key wins, so journals survive crashes and appended resume runs.
 func ReadPathJournal(r io.Reader) (map[StageKey]StageRecord, error) {
 	out := map[StageKey]StageRecord{}
-	br := bufio.NewReaderSize(r, 256*1024)
-	first, err := br.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return out, nil
-		}
-		return out, err
-	}
-	sr := SniffStageCodec(first[0]).NewReader(br)
-	for {
-		rec, err := sr.Next()
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrBadStage):
-			continue
-		case err == io.EOF || colblob.Corrupt(err):
-			return out, nil
-		default:
-			return out, err
-		}
-		if rec.Path == "" || (rec.Result == nil && rec.Error == "") {
-			continue // torn or empty record
-		}
-		out[rec.Key()] = rec
-	}
+	return out, journal.Read(r, StageRecordCodec, collect(out))
 }
 
-// ReadPathJournalFile loads the journal at path as prior records for a
-// resumed run; a missing file returns an empty map.
+// ReadPathJournalFile is ReadPathJournal over the file at path; a
+// missing file holds no records.
 func ReadPathJournalFile(path string) (map[StageKey]StageRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[StageKey]StageRecord{}, nil
+	out := map[StageKey]StageRecord{}
+	return out, journal.ReadFile(path, StageRecordCodec, collect(out))
+}
+
+// collect keys each record by its StageKey, dropping torn or empty
+// records (no path, or neither a result nor an error).
+func collect(out map[StageKey]StageRecord) func(StageRecord) {
+	return func(rec StageRecord) {
+		if rec.Path != "" && (rec.Result != nil || rec.Error != "") {
+			out[rec.Key()] = rec
 		}
-		return nil, fmt.Errorf("pathnoise: open resume journal: %w", err)
 	}
-	defer f.Close()
-	return ReadPathJournal(f)
-}
-
-// OpenPathJournal opens (creating if absent) the stage journal at path
-// for appending, repairing the torn tail a killed run leaves: a JSONL
-// file ending mid-line gets a newline; a binary file is truncated back
-// to the end of its last whole frame. An existing non-empty journal
-// keeps its sniffed format regardless of codec, so resume runs never
-// interleave encodings. The caller must invoke close when done.
-func OpenPathJournal(path string, codec StageCodec) (j *PathJournal, close func() error, err error) {
-	if codec == nil {
-		codec = BinaryStages
-	}
-	detected, err := repairStageJournal(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pathnoise: repair torn journal %s: %w", path, err)
-	}
-	if detected != nil {
-		codec = detected
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pathnoise: open journal: %w", err)
-	}
-	return NewPathJournal(f, codec), f.Close, nil
-}
-
-// repairStageJournal fixes a torn journal tail in the file's own
-// format and reports the detected codec (nil for missing/empty).
-func repairStageJournal(path string) (StageCodec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var b [1]byte
-	if _, err := f.Read(b[:]); err != nil {
-		f.Close()
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, err
-	}
-	codec := SniffStageCodec(b[0])
-	if codec.Name() == "jsonl" {
-		f.Close()
-		return codec, repairJSONLTail(path)
-	}
-	// Binary: scan whole frames (self-contained — no decoder state to
-	// replay) and truncate anything unusable past the last good one.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return codec, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return codec, err
-	}
-	cr := &countingReader{r: f}
-	fr := colblob.NewFrameReader(cr)
-	var end int64
-	for {
-		_, _, ferr := fr.Next()
-		if ferr != nil {
-			break
-		}
-		end = cr.n - int64(fr.Buffered())
-	}
-	f.Close()
-	if end < fi.Size() {
-		return codec, os.Truncate(path, end)
-	}
-	return codec, nil
-}
-
-// repairJSONLTail appends a newline when the file ends mid-line.
-func repairJSONLTail(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		f.Close()
-		return err
-	}
-	var b [1]byte
-	_, err = f.ReadAt(b[:], st.Size()-1)
-	f.Close()
-	if err != nil || b[0] == '\n' {
-		return err
-	}
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer af.Close()
-	_, err = af.WriteString("\n")
-	return err
-}
-
-// countingReader counts bytes handed to the frame reader's buffer.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,12 +2,12 @@ package pathnoise
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/delaynoise"
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -41,101 +41,61 @@ func sampleRecords() []StageRecord {
 	}
 }
 
-// TestStageCodecRoundTrip pushes records through both codecs and the
+// TestStageCodecRoundTrip pushes records through both formats and the
 // sniffing reader: every field, including the waveform series, must
 // round-trip exactly.
 func TestStageCodecRoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	for _, codec := range []StageCodec{BinaryStages, JSONLStages} {
+	for _, f := range []journal.Format{journal.Binary, journal.JSONL} {
 		var buf bytes.Buffer
-		j := NewPathJournal(&buf, codec)
+		j := journal.NewLog(&buf, f, StageRecordCodec)
 		for _, rec := range recs {
-			if err := j.Record(rec); err != nil {
-				t.Fatalf("%s: write: %v", codec.Name(), err)
+			if err := j.Append(rec); err != nil {
+				t.Fatalf("%s: write: %v", f, err)
 			}
 		}
 		got, err := ReadPathJournal(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: read: %v", codec.Name(), err)
+			t.Fatalf("%s: read: %v", f, err)
 		}
 		if len(got) != len(recs) {
-			t.Fatalf("%s: %d records, want %d", codec.Name(), len(got), len(recs))
+			t.Fatalf("%s: %d records, want %d", f, len(got), len(recs))
 		}
 		for _, want := range recs {
 			if !reflect.DeepEqual(got[want.Key()], want) {
-				t.Fatalf("%s: record %+v round-tripped to %+v", codec.Name(), want, got[want.Key()])
+				t.Fatalf("%s: record %+v round-tripped to %+v", f, want, got[want.Key()])
 			}
 		}
 	}
 }
 
-// TestStageCodecByName covers flag-value resolution.
+// TestStageCodecByName pins the stage journal's -journal-format names:
+// each selects the format a stage journal is written in (the sniffed
+// first byte agrees), the empty name is the binary default, and an
+// unknown name is rejected.
 func TestStageCodecByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "jsonl": "jsonl", "json": "jsonl"} {
-		c, err := StageCodecByName(name)
-		if err != nil || c.Name() != want {
-			t.Fatalf("StageCodecByName(%q) = %v, %v", name, c, err)
+	rec := sampleRecords()[0]
+	for name, want := range map[string]journal.Format{
+		"": journal.Binary, "binary": journal.Binary, "jsonl": journal.JSONL, "json": journal.JSONL,
+	} {
+		f, err := journal.FormatByName(name)
+		if err != nil || f != want {
+			t.Fatalf("FormatByName(%q) = %v, %v", name, f, err)
+		}
+		var buf bytes.Buffer
+		if err := journal.NewLog(&buf, f, StageRecordCodec).Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := journal.Sniff(buf.Bytes()[0]); got != want {
+			t.Fatalf("%q journal sniffs as %s, want %s", name, got, want)
+		}
+		got, err := ReadPathJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil || !reflect.DeepEqual(got[rec.Key()], rec) {
+			t.Fatalf("%q journal read back %+v, %v", name, got, err)
 		}
 	}
-	if _, err := StageCodecByName("msgpack"); err == nil {
+	if _, err := journal.FormatByName("msgpack"); err == nil {
 		t.Fatal("unknown codec name must be rejected")
-	}
-}
-
-// TestOpenPathJournalTornTail kills a binary journal mid-frame and
-// checks the repair path: reopening truncates the torn tail, the
-// surviving records read back intact, and appended post-repair records
-// land in a readable stream.
-func TestOpenPathJournalTornTail(t *testing.T) {
-	recs := sampleRecords()
-	for _, codec := range []StageCodec{BinaryStages, JSONLStages} {
-		file := filepath.Join(t.TempDir(), "stages.journal")
-		j, closeJ, err := OpenPathJournal(file, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs[:2] {
-			if err := j.Record(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := closeJ(); err != nil {
-			t.Fatal(err)
-		}
-		// Tear the tail the way a kill does: drop the last few bytes.
-		b, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(file, b[:len(b)-7], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// Reopen (repairs) and append the third record.
-		j, closeJ, err = OpenPathJournal(file, codec)
-		if err != nil {
-			t.Fatalf("%s: reopen torn journal: %v", codec.Name(), err)
-		}
-		if err := j.Record(recs[2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := closeJ(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadPathJournalFile(file)
-		if err != nil {
-			t.Fatalf("%s: read repaired journal: %v", codec.Name(), err)
-		}
-		// The first record and the appended one must survive; the torn
-		// second record must be gone (binary) or skipped (jsonl).
-		if !reflect.DeepEqual(got[recs[0].Key()], recs[0]) {
-			t.Fatalf("%s: first record lost after repair: %+v", codec.Name(), got[recs[0].Key()])
-		}
-		if !reflect.DeepEqual(got[recs[2].Key()], recs[2]) {
-			t.Fatalf("%s: post-repair append lost: %+v", codec.Name(), got[recs[2].Key()])
-		}
-		if _, ok := got[recs[1].Key()]; ok {
-			t.Fatalf("%s: torn record resurrected", codec.Name())
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clarinet"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
+	"repro/internal/journal"
 	"repro/internal/pathnoise"
 	"repro/internal/workload"
 )
@@ -200,7 +201,7 @@ func TestRunJournalResume(t *testing.T) {
 
 	// Interrupted run: cancel after the first stage record lands.
 	file := filepath.Join(t.TempDir(), "stages.journal")
-	j, closeJ, err := pathnoise.OpenPathJournal(file, nil)
+	j, closeJ, err := journal.Open(file, journal.Binary, pathnoise.StageRecordCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestRunJournalResume(t *testing.T) {
 	// Resume on a fresh tool (cold caches prove records, not cache
 	// state, carry the work) and compare bytes.
 	tool2 := pathTool(t, lib, 2)
-	j2, closeJ2, err := pathnoise.OpenPathJournal(file, nil)
+	j2, closeJ2, err := journal.Open(file, journal.Binary, pathnoise.StageRecordCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	reports, err := pathnoise.Run(ctx, tool, paths, pathnoise.Options{Journal: pathnoise.NewPathJournal(&buf, nil)})
+	reports, err := pathnoise.Run(ctx, tool, paths, pathnoise.Options{Journal: journal.NewLog(&buf, journal.Binary, pathnoise.StageRecordCodec)})
 	if err == nil {
 		t.Fatal("canceled run reported success")
 	}

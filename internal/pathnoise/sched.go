@@ -347,7 +347,7 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	ps.quiet = Handoff{Wave: qrep.Res.QuietRecvOut, Rising: rising, Cross: qrep.Res.QuietOutCross, Shift: qshift}
 	ps.noisy = Handoff{Wave: nrep.Res.NoisyRecvOut, Rising: rising, Cross: nrep.Res.NoisyOutCross, Shift: nshift}
 
-	if err := r.opt.Journal.Record(rec); err != nil {
+	if err := r.opt.Journal.Append(rec); err != nil {
 		return StageRecord{}, noiseerr.Reclass(noiseerr.ErrInternal, err)
 	}
 	ps.records = append(ps.records, rec)
@@ -409,7 +409,7 @@ func (r *runner) fail(ps *pathState, err error) (more bool) {
 	}
 	// A failed journal write here is unreportable beyond the in-memory
 	// record; the resumed run simply re-executes the stage.
-	_ = r.opt.Journal.Record(rec)
+	_ = r.opt.Journal.Append(rec)
 	ps.records = append(ps.records, rec)
 	r.emitRecord(rec)
 	return false

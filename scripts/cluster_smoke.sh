@@ -45,7 +45,9 @@ echo "== boot 3 replicas"
 replica_args=()
 for i in 1 2 3; do
   : >"$workdir/addr$i"
-  "$workdir/noised" -addr 127.0.0.1:0 -addr-file "$workdir/addr$i" &
+  # A heartbeat well below the gateway's -stall-timeout: a replica busy
+  # building tables (slow under RACE=1) must not look stalled.
+  "$workdir/noised" -addr 127.0.0.1:0 -addr-file "$workdir/addr$i" -heartbeat 2s &
   pids+=($!)
   eval "replica${i}_pid=$!"
   wait_addr "$workdir/addr$i" "$!" "replica $i"
