@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/clarinet"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
@@ -179,6 +180,33 @@ func BenchmarkFig14AlignmentAccuracy(b *testing.B) {
 		b.ReportMetric(r.Ours.WorstAbsErr*1e12, "ours-worst-ps")
 		b.ReportMetric(r.Baseline.WorstAbsErr*1e12, "baseline-worst-ps")
 	}
+}
+
+// BenchmarkAlignSearch is the alignment-search kernel on its own: one
+// ExhaustiveWorst (the default 21-point grid plus refinement) over a
+// fixed netgen net's noiseless receiver input and composite noise. It
+// reports the receiver simulations per search and the committed steps
+// per simulation, the two factors of the search's cost.
+func BenchmarkAlignSearch(b *testing.B) {
+	lib := device.NewLibrary(device.Default180())
+	c, err := workload.NewGenerator(lib, workload.DefaultProfile(), 31).Next(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := delaynoise.Analyze(c, delaynoise.Options{Hold: delaynoise.HoldThevenin, Align: delaynoise.AlignReceiverInput})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sims, steps metrics.Counter
+	obj := align.Objective{Receiver: c.Receiver, Load: c.ReceiverLoad, VictimRising: c.Victim.OutputRising, Sims: &sims, Steps: &steps}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := obj.ExhaustiveWorst(res.NoiselessRecvIn, res.Composite, 21); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sims.Value())/float64(b.N), "receiver_sims/op")
+	b.ReportMetric(float64(steps.Value())/float64(sims.Value()), "steps/sim")
 }
 
 func BenchmarkTextAlignedPeakError(b *testing.B) {

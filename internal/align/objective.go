@@ -26,8 +26,12 @@ type Objective struct {
 	VictimRising bool
 	// Sims, when non-nil, is incremented once per nonlinear receiver
 	// simulation (every exhaustive-search grid point and delay
-	// evaluation funnels through Output).
+	// evaluation funnels through Output or OutputCross).
 	Sims *metrics.Counter
+	// Steps, when non-nil, is incremented by the committed step count of
+	// every nonlinear receiver simulation; Steps/Sims is the mean
+	// transient length.
+	Steps *metrics.Counter
 	// Ctx, when non-nil, cancels the receiver simulations and the
 	// exhaustive searches (checked at every grid point).
 	Ctx context.Context
@@ -41,33 +45,35 @@ func (o Objective) outputRising() bool {
 // Vdd returns the supply of the receiver's technology.
 func (o Objective) Vdd() float64 { return o.Receiver.Tech.Vdd }
 
-// Output simulates the receiver with input waveform in and returns the
-// receiver output waveform.
+// Output simulates the receiver with input waveform in over the full
+// horizon and returns the receiver output waveform. Callers that keep
+// the waveform (reports, journals, the next stage of a path) use it.
 func (o Objective) Output(in *waveform.PWL) (*waveform.PWL, error) {
 	o.Sims.Inc()
-	return gatesim.Receive(o.Receiver, in, o.Load, gatesim.Options{Ctx: o.Ctx})
+	return gatesim.Receive(o.Receiver, in, o.Load, o.simOptions())
 }
 
 // OutputCross simulates the receiver with input waveform in and returns
-// the time of the final 50% crossing of the output transition.
+// the time of the final 50% crossing of the output transition. It is
+// bit-identical to Cross of Output's waveform, error class included,
+// but the transient ends as soon as that crossing is decided
+// (gatesim.ReceiveCross), which is what every alignment search pays
+// for.
 func (o Objective) OutputCross(in *waveform.PWL) (float64, error) {
-	out, err := o.Output(in)
-	if err != nil {
-		return 0, err
-	}
-	return o.Cross(out)
+	o.Sims.Inc()
+	return gatesim.ReceiveCross(o.Receiver, in, o.Load, o.outputRising(), o.simOptions())
+}
+
+// simOptions are the receiver simulation options of every evaluation.
+func (o Objective) simOptions() gatesim.Options {
+	return gatesim.Options{Ctx: o.Ctx, Steps: o.Steps}
 }
 
 // Cross returns the final 50% crossing of a receiver output waveform —
 // the crossing OutputCross reports, split out so callers that retain
 // the output waveform (path-level propagation) measure it identically.
 func (o Objective) Cross(out *waveform.PWL) (float64, error) {
-	half := o.Vdd() / 2
-	if o.outputRising() {
-		return out.LastCrossRising(half)
-	}
-	// Delay is set by the last crossing: noise can cause multiple.
-	return out.LastCrossFalling(half)
+	return gatesim.LastCross(out, o.Vdd(), o.outputRising())
 }
 
 // OutputRising reports the receiver output transition direction.
@@ -83,11 +89,7 @@ func NoisyInput(noiseless, noise *waveform.PWL, tPeak float64) *waveform.PWL {
 // receiver *input* — the interconnect-only delay objective the paper
 // argues against (used by the Fig 3 and Fig 14 baselines).
 func (o Objective) InputCross(in *waveform.PWL) (float64, error) {
-	half := o.Vdd() / 2
-	if o.VictimRising {
-		return in.LastCrossRising(half)
-	}
-	return in.LastCrossFalling(half)
+	return gatesim.LastCross(in, o.Vdd(), o.VictimRising)
 }
 
 // SearchWindow is the sweep range for exhaustive alignment searches,
@@ -130,6 +132,22 @@ type WorstResult struct {
 // output crossing time. This is the expensive search the paper's
 // pre-characterization replaces.
 func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
+	return o.exhaustive(noiseless, noise, nGrid, true, o.OutputCross)
+}
+
+// ExhaustiveBest is the speed-up dual of ExhaustiveWorst: it sweeps the
+// pulse peak to *minimize* the receiver output crossing time. Same-
+// direction aggressors accelerate the victim transition; the minimum
+// bounds the early edge of downstream timing windows.
+func (o Objective) ExhaustiveBest(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
+	return o.exhaustive(noiseless, noise, nGrid, false, o.OutputCross)
+}
+
+// exhaustive is the search behind ExhaustiveWorst (maximize) and
+// ExhaustiveBest: nGrid evenly spaced pulse peaks over the search
+// window, then two 5-point refinement passes around the incumbent,
+// each candidate ranked by eval of its noisy receiver input.
+func (o Objective) exhaustive(noiseless, noise *waveform.PWL, nGrid int, maximize bool, eval func(in *waveform.PWL) (float64, error)) (WorstResult, error) {
 	if nGrid < 5 {
 		nGrid = 5
 	}
@@ -137,10 +155,16 @@ func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (W
 	if err != nil {
 		return WorstResult{}, err
 	}
-	eval := func(tp float64) (float64, error) {
-		return o.OutputCross(NoisyInput(noiseless, noise, tp))
+	better := func(out, best float64) bool {
+		if maximize {
+			return out > best
+		}
+		return out < best
 	}
-	bestT, bestOut := lo, math.Inf(-1)
+	bestT, bestOut := lo, math.Inf(1)
+	if maximize {
+		bestOut = math.Inf(-1)
+	}
 	var lastErr error
 	step := (hi - lo) / float64(nGrid-1)
 	for i := 0; i < nGrid; i++ {
@@ -148,7 +172,7 @@ func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (W
 			return WorstResult{}, err
 		}
 		tp := lo + float64(i)*step
-		out, err := eval(tp)
+		out, err := eval(NoisyInput(noiseless, noise, tp))
 		if err != nil {
 			if errors.Is(err, noiseerr.ErrCanceled) {
 				return WorstResult{}, err
@@ -156,11 +180,11 @@ func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (W
 			lastErr = err // some alignments may never cross (pathological noise)
 			continue
 		}
-		if out > bestOut {
+		if better(out, bestOut) {
 			bestT, bestOut = tp, out
 		}
 	}
-	if math.IsInf(bestOut, -1) {
+	if math.IsInf(bestOut, 0) {
 		return WorstResult{}, noiseerr.Convergencef("align: no alignment produced an output crossing (last: %w)", lastErr)
 	}
 	// Two refinement passes around the incumbent.
@@ -170,14 +194,14 @@ func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (W
 			if err := o.canceled(); err != nil {
 				return WorstResult{}, err
 			}
-			out, err := eval(tp)
+			out, err := eval(NoisyInput(noiseless, noise, tp))
 			if err != nil {
 				if errors.Is(err, noiseerr.ErrCanceled) {
 					return WorstResult{}, err
 				}
 				continue
 			}
-			if out > bestOut {
+			if better(out, bestOut) {
 				bestT, bestOut = tp, out
 			}
 		}
@@ -194,65 +218,6 @@ func (o Objective) canceled() error {
 		return noiseerr.Canceled(fmt.Errorf("align: search canceled: %w", err))
 	}
 	return nil
-}
-
-// ExhaustiveBest is the speed-up dual of ExhaustiveWorst: it sweeps the
-// pulse peak to *minimize* the receiver output crossing time. Same-
-// direction aggressors accelerate the victim transition; the minimum
-// bounds the early edge of downstream timing windows.
-func (o Objective) ExhaustiveBest(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
-	if nGrid < 5 {
-		nGrid = 5
-	}
-	lo, hi, err := SearchWindow(noiseless, noise, o.Vdd(), o.VictimRising)
-	if err != nil {
-		return WorstResult{}, err
-	}
-	eval := func(tp float64) (float64, error) {
-		return o.OutputCross(NoisyInput(noiseless, noise, tp))
-	}
-	bestT, bestOut := lo, math.Inf(1)
-	var lastErr error
-	step := (hi - lo) / float64(nGrid-1)
-	for i := 0; i < nGrid; i++ {
-		if err := o.canceled(); err != nil {
-			return WorstResult{}, err
-		}
-		tp := lo + float64(i)*step
-		out, err := eval(tp)
-		if err != nil {
-			if errors.Is(err, noiseerr.ErrCanceled) {
-				return WorstResult{}, err
-			}
-			lastErr = err
-			continue
-		}
-		if out < bestOut {
-			bestT, bestOut = tp, out
-		}
-	}
-	if math.IsInf(bestOut, 1) {
-		return WorstResult{}, noiseerr.Convergencef("align: no alignment produced an output crossing (last: %w)", lastErr)
-	}
-	for pass := 0; pass < 2; pass++ {
-		step /= 2.5
-		for _, tp := range []float64{bestT - 2*step, bestT - step, bestT + step, bestT + 2*step} {
-			if err := o.canceled(); err != nil {
-				return WorstResult{}, err
-			}
-			out, err := eval(tp)
-			if err != nil {
-				if errors.Is(err, noiseerr.ErrCanceled) {
-					return WorstResult{}, err
-				}
-				continue
-			}
-			if out < bestOut {
-				bestT, bestOut = tp, out
-			}
-		}
-	}
-	return WorstResult{TPeak: bestT, TOut: bestOut, Va: noiseless.At(bestT)}, nil
 }
 
 // ReceiverInputSpeedup is the speed-up analog of ReceiverInputAlignment:

@@ -106,8 +106,12 @@ func WriteMetricsSummary(w io.Writer, t *Tool) {
 			s.Counters[mNetsDeadline], s.Counters[mNetsPanicked],
 			s.Counters[mNetsCanceled], s.Counters[mNetsResumed])
 	}
-	fmt.Fprintf(w, "simulations: %d linear, %d nonlinear receiver\n",
-		s.Counters["sim.linear"], s.Counters["sim.nonlinear.receiver"])
+	recvSims := s.Counters["sim.nonlinear.receiver"]
+	fmt.Fprintf(w, "simulations: %d linear, %d nonlinear receiver", s.Counters["sim.linear"], recvSims)
+	if recvSims > 0 {
+		fmt.Fprintf(w, " (%.0f steps/sim)", float64(s.Counters["sim.nonlinear.receiver.steps"])/float64(recvSims))
+	}
+	fmt.Fprintln(w)
 	for _, cache := range []struct{ base, label string }{
 		{"cache.tables", "alignment tables"},
 		{"cache.char.rough", "rough driver fits"},

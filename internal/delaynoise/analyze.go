@@ -211,6 +211,7 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		Load:         c.ReceiverLoad,
 		VictimRising: c.Victim.OutputRising,
 		Sims:         opt.Metrics.Counter(mSimNonlinearReceiver),
+		Steps:        opt.Metrics.Counter(mSimNonlinearReceiverSteps),
 		Ctx:          ctx,
 	}
 
@@ -367,6 +368,7 @@ func AnalyzeQuietContext(ctx context.Context, c *Case, opt Options) (*Result, er
 		Load:         c.ReceiverLoad,
 		VictimRising: c.Victim.OutputRising,
 		Sims:         opt.Metrics.Counter(mSimNonlinearReceiver),
+		Steps:        opt.Metrics.Counter(mSimNonlinearReceiverSteps),
 		Ctx:          ctx,
 	}
 	reportStart := time.Now()

@@ -82,21 +82,21 @@ func (c *Case) Validate() error {
 	case len(c.Aggressors) != len(c.Net.AggIn):
 		return noiseerr.Invalidf("delaynoise: %d aggressor drivers for %d aggressor nets",
 			len(c.Aggressors), len(c.Net.AggIn))
-	case c.Victim.InputSlew <= 0:
+	case !(c.Victim.InputSlew > 0):
 		return noiseerr.Invalidf("delaynoise: victim input slew must be positive")
-	case c.ReceiverLoad < 0:
-		return noiseerr.Invalidf("delaynoise: negative receiver load")
+	case !(c.ReceiverLoad >= 0):
+		return noiseerr.Invalidf("delaynoise: receiver load must be non-negative")
 	}
 	for node, load := range c.ExtraLoads {
-		if load < 0 {
-			return noiseerr.Invalidf("delaynoise: negative extra load at %q", node)
+		if !(load >= 0) {
+			return noiseerr.Invalidf("delaynoise: extra load at %q must be non-negative", node)
 		}
 	}
 	for i, a := range c.Aggressors {
 		if a.Cell == nil {
 			return noiseerr.Invalidf("delaynoise: aggressor %d has no cell", i)
 		}
-		if a.InputSlew <= 0 {
+		if !(a.InputSlew > 0) {
 			return noiseerr.Invalidf("delaynoise: aggressor %d input slew must be positive", i)
 		}
 	}

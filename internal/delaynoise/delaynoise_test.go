@@ -1,10 +1,12 @@
 package delaynoise
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/noiseerr"
 	"repro/internal/rcnet"
 )
 
@@ -67,6 +69,20 @@ func TestValidate(t *testing.T) {
 	bad.Receiver = nil
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for nil receiver")
+	}
+	// NaN compares false both ways, so it must not slip past the checks.
+	nan := math.NaN()
+	for name, edit := range map[string]func(*Case){
+		"victim slew":    func(b *Case) { b.Victim.InputSlew = nan },
+		"aggressor slew": func(b *Case) { b.Aggressors = []DriverSpec{{Cell: c.Aggressors[0].Cell, InputSlew: nan}} },
+		"receiver load":  func(b *Case) { b.ReceiverLoad = nan },
+		"extra load":     func(b *Case) { b.ExtraLoads = map[string]float64{c.Net.VictimOut: nan} },
+	} {
+		bad = *c
+		edit(&bad)
+		if err := bad.Validate(); !errors.Is(err, noiseerr.ErrInvalidCase) {
+			t.Errorf("NaN %s: err %v, want ErrInvalidCase", name, err)
+		}
 	}
 }
 

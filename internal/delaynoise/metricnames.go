@@ -14,6 +14,7 @@ const (
 	mHitSuffix  = ".hit"
 	mMissSuffix = ".miss"
 
-	mSimLinear            = "sim.linear"
-	mSimNonlinearReceiver = "sim.nonlinear.receiver"
+	mSimLinear                 = "sim.linear"
+	mSimNonlinearReceiver      = "sim.nonlinear.receiver"
+	mSimNonlinearReceiverSteps = "sim.nonlinear.receiver.steps"
 )

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/nlsim"
 	"repro/internal/noiseerr"
@@ -38,7 +39,15 @@ type Options struct {
 	// Ctx, when non-nil, cancels the underlying nonlinear runs (see
 	// nlsim.Options.Ctx).
 	Ctx context.Context
+	// Steps, when non-nil, is incremented by the committed step count of
+	// every successful Receive and ReceiveCross simulation.
+	Steps *metrics.Counter
 }
+
+// settleBand is the distance from a rail, as a fraction of Vdd, within
+// which a waveform counts as settled there. settled's end-of-window
+// check and ReceiveCross's early stop share it.
+const settleBand = 0.02
 
 // estimateHorizon guesses how long the cell needs to finish driving cload
 // plus the input transition, from a crude drive-resistance estimate.
@@ -79,8 +88,8 @@ func (o Options) step(horizon float64) float64 {
 
 // Drive simulates the cell driving a lumped capacitor, with an optional
 // current injection inj at the output (nil for none), and returns the
-// output waveform. The horizon doubles until the output has settled to
-// within 1% of a rail (up to 4 doublings).
+// output waveform. The horizon doubles until the output has settled
+// within the settle band of a rail (up to 4 doublings).
 func Drive(cell *device.Cell, slew float64, inRising bool, cload float64, inj *waveform.PWL, opt Options) (*waveform.PWL, error) {
 	tech := cell.Tech
 	horizon := opt.Horizon
@@ -119,7 +128,7 @@ func Drive(cell *device.Cell, slew float64, inRising bool, cload float64, inj *w
 // settled reports whether the waveform has completed a transition toward
 // the rail implied by outRising and stays there over the final 10% of the
 // window. When a noise injection is present the waveform may end slightly
-// off-rail; the 2% band absorbs that.
+// off-rail; the settle band absorbs that.
 func settled(v *waveform.PWL, vdd float64, outRising bool) bool {
 	end := v.End()
 	start := v.Start()
@@ -130,7 +139,7 @@ func settled(v *waveform.PWL, vdd float64, outRising bool) bool {
 	}
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		t := checkFrom + frac*(end-checkFrom)
-		if math.Abs(v.At(t)-target) > 0.02*vdd {
+		if math.Abs(v.At(t)-target) > settleBand*vdd {
 			return false
 		}
 	}
@@ -143,6 +152,66 @@ func settled(v *waveform.PWL, vdd float64, outRising bool) bool {
 // load, and returns the receiver output waveform. The horizon extends
 // beyond the input waveform's end to let the output settle.
 func Receive(cell *device.Cell, in *waveform.PWL, cload float64, opt Options) (*waveform.PWL, error) {
+	return receive(cell, in, cload, opt, nil)
+}
+
+// ReceiveCross simulates the receiver as Receive does and returns the
+// final 50% crossing of the output in the outRising direction — the
+// LastCross of Receive's waveform — but ends the transient once that
+// crossing is decided: at the first committed step at or after the
+// input's quiet time (quietFrom) with the output within the settle band
+// of its target rail. From there on the input stays in the band around
+// its final value, which holds the output on that rail, so no later
+// crossing exists. The horizon and step are Receive's, so every point
+// the run computes is bit-identical to Receive's, and so is the
+// crossing.
+func ReceiveCross(cell *device.Cell, in *waveform.PWL, cload float64, outRising bool, opt Options) (float64, error) {
+	vdd := cell.Tech.Vdd
+	band := settleBand * vdd
+	tQuiet := quietFrom(in, band)
+	target := 0.0
+	if outRising {
+		target = vdd
+	}
+	out, err := receive(cell, in, cload, opt, func(t, vout float64) bool {
+		return t >= tQuiet && math.Abs(vout-target) <= band
+	})
+	if err != nil {
+		return 0, err
+	}
+	return LastCross(out, vdd, outRising)
+}
+
+// LastCross returns the final Vdd/2 crossing of w in the rising or
+// falling direction: the crossing that sets a delay when noise makes a
+// transition cross more than once.
+func LastCross(w *waveform.PWL, vdd float64, rising bool) (float64, error) {
+	if rising {
+		return w.LastCrossRising(vdd / 2)
+	}
+	return w.LastCrossFalling(vdd / 2)
+}
+
+// quietFrom returns the first breakpoint time of in after which every
+// breakpoint lies within band of the waveform's final value. The
+// segments between those breakpoints, and the value held past the last
+// one, are then in band too: in never leaves the band after it.
+func quietFrom(in *waveform.PWL, band float64) float64 {
+	k := in.Len() - 1
+	if k < 0 {
+		return 0
+	}
+	final := in.V[k]
+	for k > 0 && math.Abs(in.V[k-1]-final) <= band {
+		k--
+	}
+	return in.T[k]
+}
+
+// receive is the receiver simulation behind Receive and ReceiveCross.
+// A non-nil stop ends the run at the first committed step it accepts,
+// given the step's time and output voltage.
+func receive(cell *device.Cell, in *waveform.PWL, cload float64, opt Options, stop func(t, vout float64) bool) (*waveform.PWL, error) {
 	horizon := opt.Horizon
 	if horizon == 0 {
 		est := estimateHorizon(cell, 0, cload)
@@ -155,11 +224,23 @@ func Receive(cell *device.Cell, in *waveform.PWL, cload float64, opt Options) (*
 	if cload > 0 {
 		c.AddC(out, nlsim.Ground, cload)
 	}
-	res, err := nlsim.Run(c, nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx})
+	nopt := nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx}
+	if stop != nil {
+		nopt.Stop = func(t float64, x []float64) bool {
+			v, err := nlsim.StateOf(c, x, out)
+			return err == nil && stop(t, v)
+		}
+	}
+	res, err := nlsim.Run(c, nopt)
 	if err != nil {
 		return nil, fmt.Errorf("gatesim: receiver sim failed: %w", err)
 	}
-	return res.Voltage("out")
+	v, err := res.Voltage("out")
+	if err != nil {
+		return nil, err
+	}
+	opt.Steps.Add(int64(v.Len() - 1))
+	return v, nil
 }
 
 // SwitchingThreshold returns the DC input voltage at which the cell's

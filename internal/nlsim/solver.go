@@ -57,6 +57,14 @@ type Options struct {
 	// against, and an escape hatch for circuits where the stale-factor
 	// heuristics misbehave.
 	FullNewton bool
+
+	// Stop, when non-nil, is consulted after every committed step with
+	// the step's time and state vector (read-only, valid only for the
+	// call). Returning true ends the run at that step: the Result holds
+	// the series up to and including it. The step size is not touched,
+	// so every committed point is the one a full run would compute. Nil
+	// runs to TStop.
+	Stop func(t float64, x []float64) bool
 }
 
 func (o *Options) defaults() {
@@ -351,8 +359,9 @@ func RunContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
 	return Run(c, opt)
 }
 
-// Run integrates the circuit over [TStart, TStop]. Cancellation, when
-// needed, comes from Options.Ctx (or use RunContext).
+// Run integrates the circuit over [TStart, TStop], or up to the first
+// step Options.Stop accepts. Cancellation, when needed, comes from
+// Options.Ctx (or use RunContext).
 func Run(c *Circuit, opt Options) (*Result, error) {
 	opt.defaults()
 	if opt.Step <= 0 {
@@ -479,6 +488,9 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 		}
 		t += h
 		tr.commit(t)
+		if opt.Stop != nil && opt.Stop(t, tr.x) {
+			break
+		}
 		if opt.Adaptive {
 			switch {
 			case iters <= 3:

@@ -345,3 +345,41 @@ func TestAdaptiveMatchesFixedStep(t *testing.T) {
 		t.Fatalf("adaptive run ended at %v", adaptive.Times[len(adaptive.Times)-1])
 	}
 }
+
+func TestStopEndsRunAtAcceptedStep(t *testing.T) {
+	build := func() *Circuit {
+		c := NewCircuit()
+		src := c.Fixed("src", waveform.Ramp(0, 1e-14, 0, 1))
+		out := c.Node("out")
+		c.AddR(src, out, 1000)
+		c.AddC(out, Ground, 1e-12)
+		return c
+	}
+	full, err := Run(build(), Options{TStop: 5e-9, Step: 5e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	stopped, err := Run(build(), Options{TStop: 5e-9, Step: 5e-12, Stop: func(tm float64, x []float64) bool {
+		calls++
+		return x[0] >= 0.5
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(stopped.Times)
+	if n >= len(full.Times) || calls != n-1 {
+		t.Fatalf("stopped run kept %d of %d points after %d predicate calls", n, len(full.Times), calls)
+	}
+	// The stopped series is the full run's prefix, bit for bit, and ends
+	// at the first step the predicate accepted.
+	for k := 0; k < n; k++ {
+		if stopped.Times[k] != full.Times[k] || stopped.States.At(k, 0) != full.States.At(k, 0) {
+			t.Fatalf("point %d differs: (%g, %g) vs full (%g, %g)", k,
+				stopped.Times[k], stopped.States.At(k, 0), full.Times[k], full.States.At(k, 0))
+		}
+	}
+	if last := stopped.States.At(n-1, 0); last < 0.5 || stopped.States.At(n-2, 0) >= 0.5 {
+		t.Fatalf("run ended at v=%g, not at the first point reaching 0.5", last)
+	}
+}

@@ -273,6 +273,59 @@ func TestValidationRejections(t *testing.T) {
 	}
 }
 
+// TestPoisonCaseRejected sends nets whose interconnect rcnet cannot
+// build: each must get a 400 naming the bad field (not a handler panic,
+// which net/http turns into a dropped connection), and the server must
+// keep serving good requests afterwards.
+func TestPoisonCaseRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.runBatch = instantBatch
+	_, good := testBody(t, 1)
+	poison := func(edit func(*workload.CaseJSON)) string {
+		var f workload.FileJSON
+		if err := json.Unmarshal(good, &f); err != nil {
+			t.Fatal(err)
+		}
+		edit(&f.Cases[0])
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"zero victim segments", poison(func(c *workload.CaseJSON) { c.Spec.Victim.Segments = 0 }), "segment"},
+		{"negative aggressor segments", poison(func(c *workload.CaseJSON) { c.Spec.Aggressors[0].Line.Segments = -2 }), "segment"},
+		{"reversed coupling span", poison(func(c *workload.CaseJSON) {
+			c.Spec.Aggressors[0].From, c.Spec.Aggressors[0].To = 0.8, 0.2
+		}), "coupling span"},
+		{"coupling span past the line end", poison(func(c *workload.CaseJSON) { c.Spec.Aggressors[0].To = 1.5 }), "coupling span"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Fatalf("%s: status %s body %q, want 400 mentioning %q", tc.name, resp.Status, msg, tc.want)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("good request after the poison: status %s", resp.Status)
+	}
+	if recs, sum := readStream(t, resp.Body); len(recs) != 1 || sum == nil || sum.OK != 1 {
+		t.Fatalf("good request after the poison: %d records, summary %+v", len(recs), sum)
+	}
+}
+
 // blockingBatch returns a runBatch fake that parks until release is
 // closed (or the stream context dies), reporting the context it was
 // given on started.

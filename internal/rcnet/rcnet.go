@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/netlist"
+	"repro/internal/noiseerr"
 )
 
 // LineSpec describes one distributed RC line.
@@ -22,8 +23,8 @@ type LineSpec struct {
 // "<Name>.<Segments>" (far end, receiver side). It returns the node names
 // in order.
 func Line(ckt *netlist.Circuit, spec LineSpec) []string {
-	if spec.Segments < 1 {
-		panic(fmt.Sprintf("rcnet: line %q needs >= 1 segment", spec.Name))
+	if err := spec.Validate(); err != nil {
+		panic(err.Error())
 	}
 	n := spec.Segments
 	rSeg := spec.RTotal / float64(n)
@@ -54,8 +55,8 @@ func Line(ckt *netlist.Circuit, spec LineSpec) []string {
 // the spanned victim nodes; both lines must have been built with the same
 // number of segments for physical plausibility, but any node lists work.
 func Couple(ckt *netlist.Circuit, name string, a, b []string, cc, from, to float64) {
-	if from < 0 || to > 1 || from >= to {
-		panic(fmt.Sprintf("rcnet: invalid coupling span [%g, %g)", from, to))
+	if err := validSpan(from, to); err != nil {
+		panic(err.Error())
 	}
 	n := len(a)
 	if len(b) < n {
@@ -76,6 +77,24 @@ func Couple(ckt *netlist.Circuit, name string, a, b []string, cc, from, to float
 	}
 }
 
+// Validate reports, as an ErrInvalidCase-classified error, why Line
+// would reject spec.
+func (spec LineSpec) Validate() error {
+	if spec.Segments < 1 {
+		return noiseerr.Invalidf("rcnet: line %q needs >= 1 segment", spec.Name)
+	}
+	return nil
+}
+
+// validSpan rejects a coupling span outside 0 <= from < to <= 1 (NaN
+// included).
+func validSpan(from, to float64) error {
+	if !(0 <= from && from < to && to <= 1) {
+		return noiseerr.Invalidf("rcnet: invalid coupling span [%g, %g)", from, to)
+	}
+	return nil
+}
+
 // AggressorSpec describes one aggressor line coupled to the victim.
 type AggressorSpec struct {
 	Line     LineSpec
@@ -87,6 +106,24 @@ type AggressorSpec struct {
 type CoupledSpec struct {
 	Victim     LineSpec
 	Aggressors []AggressorSpec
+}
+
+// Validate reports, as an ErrInvalidCase-classified error, the first
+// reason Build would reject spec, so decoders of untrusted specs can
+// refuse them before building.
+func (spec CoupledSpec) Validate() error {
+	if err := spec.Victim.Validate(); err != nil {
+		return err
+	}
+	for i, agg := range spec.Aggressors {
+		if err := agg.Line.Validate(); err != nil {
+			return fmt.Errorf("aggressor %d: %w", i, err)
+		}
+		if err := validSpan(agg.From, agg.To); err != nil {
+			return fmt.Errorf("aggressor %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // CoupledNet is the built interconnect: the circuit (no drivers), the
@@ -135,6 +172,24 @@ type TreeSpec struct {
 	Branches []BranchSpec
 }
 
+// Validate reports, as an ErrInvalidCase-classified error, the first
+// reason BuildTree would reject spec: a bad trunk cluster, a bad branch
+// line, or a branch tap outside [0, 1].
+func (spec TreeSpec) Validate() error {
+	if err := spec.Coupled.Validate(); err != nil {
+		return err
+	}
+	for k, br := range spec.Branches {
+		if !(0 <= br.At && br.At <= 1) {
+			return noiseerr.Invalidf("rcnet: branch %d tap %g outside [0, 1]", k, br.At)
+		}
+		if err := br.Line.Validate(); err != nil {
+			return fmt.Errorf("branch %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
 // TreeNet is a built tree: the trunk cluster plus the branch sinks.
 type TreeNet struct {
 	*CoupledNet
@@ -146,13 +201,13 @@ type TreeNet struct {
 // BuildTree constructs a branching victim net. Branch k's near end is
 // merged onto the trunk node closest to Branches[k].At.
 func BuildTree(spec TreeSpec) *TreeNet {
+	if err := spec.Validate(); err != nil {
+		panic(err.Error())
+	}
 	base := Build(spec.Coupled)
 	tree := &TreeNet{CoupledNet: base}
 	segs := spec.Coupled.Victim.Segments
-	for k, br := range spec.Branches {
-		if br.At < 0 || br.At > 1 {
-			panic(fmt.Sprintf("rcnet: branch %d tap %g outside [0, 1]", k, br.At))
-		}
+	for _, br := range spec.Branches {
 		tap := fmt.Sprintf("%s.%d", spec.Coupled.Victim.Name, int(br.At*float64(segs)+0.5))
 		nodes := Line(base.Circuit, br.Line)
 		// Merge the branch's near end onto the trunk tap with a tiny via

@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/lsim"
 	"repro/internal/mna"
 	"repro/internal/netlist"
+	"repro/internal/noiseerr"
 	"repro/internal/waveform"
 )
 
@@ -240,5 +242,34 @@ func TestBuildPreservesTotalsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSpecValidate(t *testing.T) {
+	line := LineSpec{Name: "v", Segments: 2, RTotal: 1, CGround: 1e-15}
+	agg := AggressorSpec{Line: LineSpec{Name: "a", Segments: 2, RTotal: 1, CGround: 1e-15}, CCouple: 1e-15, From: 0, To: 1}
+	good := TreeSpec{
+		Coupled:  CoupledSpec{Victim: line, Aggressors: []AggressorSpec{agg}},
+		Branches: []BranchSpec{{At: 0.5, Line: LineSpec{Name: "b", Segments: 1, RTotal: 1, CGround: 1e-15}}},
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*TreeSpec){
+		"victim segments":    func(s *TreeSpec) { s.Coupled.Victim.Segments = 0 },
+		"aggressor segments": func(s *TreeSpec) { s.Coupled.Aggressors[0].Line.Segments = -1 },
+		"reversed span":      func(s *TreeSpec) { s.Coupled.Aggressors[0].From, s.Coupled.Aggressors[0].To = 1, 0 },
+		"NaN span":           func(s *TreeSpec) { s.Coupled.Aggressors[0].From = math.NaN() },
+		"tap past the end":   func(s *TreeSpec) { s.Branches[0].At = 1.5 },
+		"NaN tap":            func(s *TreeSpec) { s.Branches[0].At = math.NaN() },
+		"branch segments":    func(s *TreeSpec) { s.Branches[0].Line.Segments = 0 },
+	} {
+		bad := good
+		bad.Coupled.Aggressors = []AggressorSpec{agg}
+		bad.Branches = append([]BranchSpec(nil), good.Branches...)
+		edit(&bad)
+		if err := bad.Validate(); !errors.Is(err, noiseerr.ErrInvalidCase) {
+			t.Errorf("%s: err %v, want ErrInvalidCase", name, err)
+		}
 	}
 }

@@ -87,6 +87,10 @@ func (cj CaseJSON) ToCase(lib *device.Library) (*delaynoise.Case, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: case %s receiver: %w", cj.Name, err)
 	}
+	// rcnet.Build panics on a spec it cannot build; refuse one here.
+	if err := cj.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("workload: case %s: %w", cj.Name, err)
+	}
 	c := &delaynoise.Case{
 		Net:          rcnet.Build(cj.Spec),
 		Victim:       victim,

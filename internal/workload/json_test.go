@@ -2,10 +2,14 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/noiseerr"
+	"repro/internal/rcnet"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -90,5 +94,30 @@ func TestFromCaseFields(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestToCaseRejectsUnbuildableSpec: a spec rcnet.Build would panic on
+// comes back as an ErrInvalidCase error instead.
+func TestToCaseRejectsUnbuildableSpec(t *testing.T) {
+	lib := device.NewLibrary(device.Default180())
+	c, err := NewGenerator(lib, DefaultProfile(), 5).Next(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*CaseJSON){
+		"zero victim segments":      func(cj *CaseJSON) { cj.Spec.Victim.Segments = 0 },
+		"zero aggressor segments":   func(cj *CaseJSON) { cj.Spec.Aggressors[0].Line.Segments = 0 },
+		"empty coupling span":       func(cj *CaseJSON) { cj.Spec.Aggressors[0].From = cj.Spec.Aggressors[0].To },
+		"negative coupling start":   func(cj *CaseJSON) { cj.Spec.Aggressors[0].From = -0.1 },
+		"coupling past the far end": func(cj *CaseJSON) { cj.Spec.Aggressors[0].To = 1.01 },
+		"NaN coupling end":          func(cj *CaseJSON) { cj.Spec.Aggressors[0].To = math.NaN() },
+	} {
+		cj := FromCase("n0", c)
+		cj.Spec.Aggressors = append([]rcnet.AggressorSpec(nil), cj.Spec.Aggressors...)
+		edit(&cj)
+		if _, err := cj.ToCase(lib); !errors.Is(err, noiseerr.ErrInvalidCase) {
+			t.Errorf("%s: err %v, want ErrInvalidCase", name, err)
+		}
 	}
 }
