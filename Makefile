@@ -70,13 +70,15 @@ vuln:
 
 # Short fuzz pass over every decoder of untrusted input: the colblob
 # frame/column readers, the net-record and path-stage payload decoders
-# (journal and wire bytes), and the SPEF parser. Go runs one -fuzz
+# (journal and wire bytes), the workload case-file loaders (request
+# bodies), and the SPEF parser. Go runs one -fuzz
 # pattern per invocation, so the target loops over package:target
 # pairs; the committed corpus under each package's testdata/fuzz seeds
 # every run. FUZZTIME bounds each target's budget.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = colblob:FuzzReadFloats colblob:FuzzFrameReader colblob:FuzzDecodeBlob \
-	colblob:FuzzFloatValues clarinet:FuzzBinaryRecord pathnoise:FuzzDecodeStage spef:FuzzParse
+	colblob:FuzzFloatValues clarinet:FuzzBinaryRecord pathnoise:FuzzDecodeStage spef:FuzzParse \
+	workload:FuzzLoadCases
 
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \

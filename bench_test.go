@@ -389,7 +389,7 @@ func BenchmarkClarinetBatch(b *testing.B) {
 		name string
 		cfg  clarinet.Config
 	}{
-		{"seed", clarinet.Config{Workers: 2, CharCacheRes: -1, DisableROMCache: true}},
+		{"seed", clarinet.Config{Workers: 2, CharCacheRes: -1}},
 		{"parallel", clarinet.Config{}},
 	} {
 		tc.cfg.Hold = delaynoise.HoldTransient

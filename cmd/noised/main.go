@@ -1,8 +1,8 @@
 // Command noised is the resident noise-analysis service: a long-running
 // HTTP daemon that owns one warm engine session — alignment tables,
-// driver characterizations, holding resistances, PRIMA ROMs — and
-// amortizes it across every request, where the one-shot CLI tools
-// rebuild that state per invocation.
+// driver characterizations and holding resistances — and amortizes it
+// across every request, where the one-shot CLI tools rebuild that state
+// per invocation.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/funcnoise"
+	"repro/internal/noiseerr"
 	"repro/internal/workload"
 )
 
@@ -44,18 +46,15 @@ func TestConfigDefaults(t *testing.T) {
 	if tool.Session().Chars() == nil {
 		t.Fatal("characterization cache must be on by default")
 	}
-	if tool.Session().ROMs() == nil {
-		t.Fatal("ROM cache must be on by default")
-	}
 	if _, err := New(lib, Config{Workers: -1}); err == nil {
 		t.Fatal("negative worker count must be rejected")
 	}
-	off, err := New(lib, Config{CharCacheRes: -1, DisableROMCache: true})
+	off, err := New(lib, Config{CharCacheRes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Session().Chars() != nil || off.Session().ROMs() != nil {
-		t.Fatal("cache opt-outs ignored")
+	if off.Session().Chars() != nil {
+		t.Fatal("cache opt-out ignored")
 	}
 }
 
@@ -313,5 +312,59 @@ func TestFunctionalAllAndReport(t *testing.T) {
 	WriteFuncReport(&buf, []FuncReport{{Name: "x", Err: context.Canceled}})
 	if !strings.Contains(buf.String(), "ERROR") {
 		t.Fatal("func report missing error line")
+	}
+}
+
+// TestPRIMAThroughTool drives PRIMA-reduced analyses through the pool.
+// Each duplicated net reduces its own interconnect, so the copies render
+// identical report rows, and every row equals a standalone
+// delaynoise.Analyze run with the same options.
+func TestPRIMAThroughTool(t *testing.T) {
+	_, uniq, lib := population(t, 2)
+	opt := delaynoise.Options{
+		Hold:       delaynoise.HoldTransient,
+		Align:      delaynoise.AlignReceiverInput,
+		PRIMAOrder: 8,
+	}
+	var names []string
+	var cases []*delaynoise.Case
+	for i, c := range uniq {
+		for k := 0; k < 3; k++ {
+			names = append(names, fmt.Sprintf("net%d.%d", i, k))
+			cases = append(cases, c)
+		}
+	}
+	tool := MustNew(lib, Config{
+		Hold:         opt.Hold,
+		Align:        opt.Align,
+		Analysis:     delaynoise.Options{PRIMAOrder: opt.PRIMAOrder},
+		Workers:      3,
+		CharCacheRes: -1, // standalone Analyze shares no characterizations
+	})
+	reports := tool.AnalyzeAll(names, cases)
+	if n := tool.Metrics().Timer(noiseerr.StageReduce.TimerName()).Count(); n == 0 {
+		t.Fatal("no PRIMA reduction ran")
+	}
+	row := func(r NetReport) string {
+		r.Name = "net"
+		var b bytes.Buffer
+		WriteReport(&b, []NetReport{r})
+		return b.String()
+	}
+	for i, c := range uniq {
+		res, err := delaynoise.Analyze(c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := row(NetReport{Res: res})
+		for k := 0; k < 3; k++ {
+			r := reports[3*i+k]
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Name, r.Err)
+			}
+			if got := row(r); got != want {
+				t.Fatalf("%s renders\n%s\nstandalone Analyze renders\n%s", r.Name, got, want)
+			}
+		}
 	}
 }

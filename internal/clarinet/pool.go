@@ -54,7 +54,7 @@ func (t *Tool) AnalyzeNetWindow(ctx context.Context, name string, c *delaynoise.
 		return NetReport{Name: name, Err: noiseerr.WithNet(name, noiseerr.Canceled(err))}
 	}
 	start := time.Now()
-	pol := t.Cfg.policy()
+	pol := t.Cfg.Resilience
 	netCtx := resilience.WithNet(ctx, name)
 	cancel := func() {}
 	if pol.NetTimeout > 0 {
@@ -135,7 +135,7 @@ func (t *Tool) AnalyzeQuietNet(ctx context.Context, name string, c *delaynoise.C
 	}
 	m := t.session.Metrics()
 	start := time.Now()
-	pol := t.Cfg.policy()
+	pol := t.Cfg.Resilience
 	netCtx := resilience.WithNet(ctx, name)
 	cancel := func() {}
 	if pol.NetTimeout > 0 {
@@ -215,13 +215,28 @@ func (t *Tool) panicReport(name string, p *noiseerr.PanicError) NetReport {
 	return NetReport{Name: name, Err: noiseerr.WithNet(name, noiseerr.InStage(noiseerr.StageResilience, p))}
 }
 
-// funcPanicReport is panicReport for the functional-noise flow.
-func (t *Tool) funcPanicReport(name string, p *noiseerr.PanicError) FuncReport {
-	m := t.session.Metrics()
-	m.Counter(mNetsAnalyzed).Inc()
-	m.Counter(mNetsPanicked).Inc()
-	m.Counter(mNetsFailed).Inc()
-	return FuncReport{Name: name, Err: noiseerr.WithNet(name, noiseerr.InStage(noiseerr.StageResilience, p))}
+// Contain runs one unit of work that no batch entry point fans out — a
+// path stage (internal/pathnoise) — under the pool's panic containment:
+// a panic out of f fails just that unit with the panicReport error for
+// the named net instead of killing the process.
+func (t *Tool) Contain(name string, f func() error) error {
+	var err error
+	if p := recovered(func() { err = f() }); p != nil {
+		return t.panicReport(name, p).Err
+	}
+	return err
+}
+
+// recovered runs f and returns the panic out of it, if any, with its
+// stack.
+func recovered(f func()) (p *noiseerr.PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &noiseerr.PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	f()
+	return nil
 }
 
 // fanOut spreads f over every index i in [0, n) across the given number
@@ -246,12 +261,10 @@ func fanOut[R any](workers, n int, f func(int) R, emit func(int, R), contain fun
 	run := f
 	if contain != nil {
 		run = func(i int) (r R) {
-			defer func() {
-				if p := recover(); p != nil {
-					r = contain(i, &noiseerr.PanicError{Value: p, Stack: debug.Stack()})
-				}
-			}()
-			return f(i)
+			if p := recovered(func() { r = f(i) }); p != nil {
+				r = contain(i, p)
+			}
+			return r
 		}
 	}
 	idx := make(chan int)
@@ -420,6 +433,8 @@ func (t *Tool) FunctionalAllContext(ctx context.Context, names []string, cases [
 			return FuncReport{Name: names[i], Res: res}
 		},
 		func(i int, r FuncReport) { reports[i] = r },
-		func(i int, p *noiseerr.PanicError) FuncReport { return t.funcPanicReport(names[i], p) })
+		func(i int, p *noiseerr.PanicError) FuncReport {
+			return FuncReport{Name: names[i], Err: t.panicReport(names[i], p).Err}
+		})
 	return reports
 }

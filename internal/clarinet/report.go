@@ -117,7 +117,6 @@ func WriteMetricsSummary(w io.Writer, t *Tool) {
 		{"cache.char.rough", "rough driver fits"},
 		{"cache.char.full", "driver characterizations"},
 		{"cache.holdres", "holding resistances"},
-		{"cache.rom", "PRIMA reductions"},
 	} {
 		hits, misses, ratio := s.CacheRatio(cache.base)
 		if hits+misses == 0 {

@@ -104,10 +104,6 @@ type Options struct {
 	// resistances) across analyses with single-flight semantics. Batch
 	// engines set this; single-net callers can leave it nil.
 	Chars *CharCache
-	// ROMs, when non-nil, shares PRIMA reduced-order models across
-	// analyses, keyed by a content hash of the assembled linear system.
-	// Only consulted when PRIMAOrder is positive.
-	ROMs *ROMCache
 	// Metrics, when non-nil, receives engine instrumentation: linear and
 	// nonlinear simulation counts, per-stage wall time, and cache
 	// hit/miss counters.

@@ -9,8 +9,6 @@ import (
 	"repro/internal/holdres"
 	"repro/internal/memo"
 	"repro/internal/metrics"
-	"repro/internal/mna"
-	"repro/internal/mor"
 	"repro/internal/netlist"
 	"repro/internal/thevenin"
 	"repro/internal/waveform"
@@ -20,11 +18,11 @@ import (
 // per-net flow across cores without repeating work: nets that share a
 // driver cell at a similar operating point reuse the rough Thevenin fit,
 // duplicated net structures (bus bits, clock spines) reuse the full
-// C-effective characterization, the transient-holding-resistance
-// derivation, and the PRIMA reduction. All caches are single-flight
-// (internal/memo): concurrent nets needing the same entry compute it
-// once. Every method tolerates a nil receiver and simply computes
-// uncached, so the engine code calls them unconditionally.
+// C-effective characterization and the transient-holding-resistance
+// derivation. All caches are single-flight (internal/memo): concurrent
+// nets needing the same entry compute it once. Every method tolerates a
+// nil receiver and simply computes uncached, so the engine code calls
+// them unconditionally.
 //
 // Each method takes the calling net's context: under single flight the
 // in-flight computation runs on the first caller's context, and a
@@ -172,50 +170,6 @@ func (cc *CharCache) HoldRes(ctx context.Context, cell *device.Cell, slew float6
 	return res, err
 }
 
-type romKey struct {
-	sys uint64
-	q   int
-}
-
-// ROMCache memoizes PRIMA reduced-order models keyed by a content hash
-// of the assembled MNA system (matrices and node names, excluding the
-// source waveforms, which the reduction does not depend on). Cache hits
-// rebind the cached projection to the caller's sources.
-type ROMCache struct {
-	metrics *metrics.Registry
-	roms    *memo.Cache[romKey, *mor.ROM]
-}
-
-// NewROMCache builds a reduced-order-model cache. The registry, which
-// may be nil, receives cache.rom hit/miss counters.
-func NewROMCache(m *metrics.Registry) *ROMCache {
-	return &ROMCache{metrics: m, roms: memo.New[romKey, *mor.ROM]()}
-}
-
-// Reduce returns a PRIMA reduction of sys to order q, sharing the Krylov
-// projection across systems with identical matrices.
-func (rc *ROMCache) Reduce(ctx context.Context, sys *mna.System, q int) (*mor.ROM, error) {
-	if rc == nil {
-		return mor.ReduceContext(ctx, sys, q)
-	}
-	rom, hit, err := rc.roms.Do(romKey{hashSystem(sys), q}, func() (*mor.ROM, error) {
-		return mor.ReduceContext(ctx, sys, q)
-	})
-	if hit {
-		rc.metrics.Counter(mCacheROMHit).Inc()
-	} else {
-		rc.metrics.Counter(mCacheROMMiss).Inc()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !hit {
-		return rom, nil
-	}
-	// The cached model carries the populating run's sources; rebind.
-	return rom.WithInputs(sys.Inputs)
-}
-
 // --- content hashing (FNV-1a over exact bit patterns) ---
 
 const (
@@ -291,23 +245,6 @@ func hashCircuit(c *netlist.Circuit) uint64 {
 		h = fnvString(h, d.A)
 		h = fnvFloat(h, d.R)
 		h = fnvU64(h, hashPWL(d.V))
-	}
-	return h
-}
-
-// hashSystem hashes an MNA system's matrices and state names, excluding
-// the input waveforms.
-func hashSystem(s *mna.System) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvU64(h, uint64(len(s.Nodes)))
-	for _, n := range s.Nodes {
-		h = fnvString(h, n)
-	}
-	for _, data := range [][]float64{s.G.Data, s.C.Data, s.B.Data} {
-		h = fnvU64(h, uint64(len(data)))
-		for _, v := range data {
-			h = fnvFloat(h, v)
-		}
 	}
 	return h
 }

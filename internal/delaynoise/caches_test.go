@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/lsim"
 	"repro/internal/metrics"
-	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/waveform"
 )
@@ -105,86 +103,7 @@ func TestCharCacheBucketSharing(t *testing.T) {
 	}
 }
 
-// TestROMCacheRebindsInputs checks that a ROM cache hit reproduces the
-// direct reduction even when the cached entry was populated with
-// different source waveforms.
-func TestROMCacheRebindsInputs(t *testing.T) {
-	build := func(src *waveform.PWL) *mna.System {
-		ckt := netlist.NewCircuit()
-		ckt.AddDriver("d", "n1", src, 500)
-		ckt.AddR("r1", "n1", "n2", 200)
-		ckt.AddC("c1", "n1", "0", 10e-15)
-		ckt.AddR("r2", "n2", "n3", 200)
-		ckt.AddC("c2", "n2", "0", 10e-15)
-		ckt.AddC("c3", "n3", "0", 10e-15)
-		sys, err := mna.Build(ckt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	reg := metrics.NewRegistry()
-	rc := NewROMCache(reg)
-	opt := lsim.Options{TStop: 2e-9, Step: 1e-12, InitDC: true}
-
-	srcA := waveform.Ramp(2e-10, 1e-10, 0, 1.8)
-	romA, err := rc.Reduce(context.Background(), build(srcA), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA, err := romA.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same matrices, different source: must hit and rebind.
-	srcB := waveform.Ramp(4e-10, 2e-10, 1.8, 0)
-	sysB := build(srcB)
-	romB, err := rc.Reduce(context.Background(), sysB, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	if hits, misses, _ := s.CacheRatio("cache.rom"); hits != 1 || misses != 1 {
-		t.Fatalf("rom hit/miss = %d/%d, want 1/1", hits, misses)
-	}
-	resB, err := romB.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wA, err := resA.Voltage("n3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wB, err := resB.Voltage("n3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wA.At(1e-9) == wB.At(1e-9) {
-		t.Fatal("rebound ROM ignored the new source waveform")
-	}
-	// And the rebound result matches a cold reduction of the same system.
-	coldROM, err := NewROMCache(nil).Reduce(context.Background(), build(srcB), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRes, err := coldROM.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wCold, err := coldRes.Voltage("n3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{0.5e-9, 1e-9, 1.5e-9} {
-		if math.Abs(wB.At(tt)-wCold.At(tt)) > 1e-12 {
-			t.Fatalf("rebound ROM diverges from cold reduction at t=%g: %v vs %v",
-				tt, wB.At(tt), wCold.At(tt))
-		}
-	}
-}
-
-// TestNilCachesPassThrough ensures the nil-receiver paths compute.
+// TestNilCachesPassThrough ensures the nil-receiver path computes.
 func TestNilCachesPassThrough(t *testing.T) {
 	lib := device.NewLibrary(device.Default180())
 	cell, err := lib.Cell("INVX2")
@@ -193,17 +112,6 @@ func TestNilCachesPassThrough(t *testing.T) {
 	}
 	var cc *CharCache
 	if _, err := cc.RoughFit(context.Background(), cell, 100e-12, true, 20e-15); err != nil {
-		t.Fatal(err)
-	}
-	var rc *ROMCache
-	ckt := netlist.NewCircuit()
-	ckt.AddDriver("d", "n1", waveform.Constant(0), 500)
-	ckt.AddC("c1", "n1", "0", 10e-15)
-	sys, err := mna.Build(ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Reduce(context.Background(), sys, 1); err != nil {
 		t.Fatal(err)
 	}
 }

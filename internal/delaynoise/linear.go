@@ -8,6 +8,7 @@ import (
 	"repro/internal/gatesim"
 	"repro/internal/lsim"
 	"repro/internal/mna"
+	"repro/internal/mor"
 	"repro/internal/netlist"
 	"repro/internal/noiseerr"
 	"repro/internal/thevenin"
@@ -156,7 +157,7 @@ func (e *engine) runLinearProbes(ckt *netlist.Circuit, probes []string) (map[str
 	out := map[string]*waveform.PWL{}
 	if q := e.opt.PRIMAOrder; q > 0 && q < sys.NumStates() {
 		reduceStart := time.Now()
-		rom, err := e.opt.ROMs.Reduce(e.ctx, sys, q)
+		rom, err := mor.ReduceContext(e.ctx, sys, q)
 		e.opt.Metrics.Observe(noiseerr.StageReduce.TimerName(), time.Since(reduceStart))
 		if err != nil {
 			return nil, noiseerr.InStage(noiseerr.StageReduce, err)

@@ -8,8 +8,6 @@ const (
 	mCacheCharRough = "cache.char.rough"
 	mCacheCharFull  = "cache.char.full"
 	mCacheHoldres   = "cache.holdres"
-	mCacheROMHit    = "cache.rom.hit"
-	mCacheROMMiss   = "cache.rom.miss"
 
 	mHitSuffix  = ".hit"
 	mMissSuffix = ".miss"

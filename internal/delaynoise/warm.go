@@ -11,9 +11,6 @@ package delaynoise
 import (
 	"repro/internal/ceff"
 	"repro/internal/holdres"
-	"repro/internal/linalg"
-	"repro/internal/mna"
-	"repro/internal/mor"
 	"repro/internal/thevenin"
 )
 
@@ -122,55 +119,4 @@ func (cc *CharCache) Len() int {
 		return 0
 	}
 	return cc.rough.Len() + cc.full.Len() + cc.hold.Len()
-}
-
-// ROMEntry is one persisted PRIMA reduction. The reduced system, basis,
-// and full system are stored whole; the full system may be omitted (nil)
-// when it aliases the reduced one (identity projection).
-type ROMEntry struct {
-	System  uint64 // MNA content hash (the cache key)
-	Q       int    // requested order (the cache key)
-	Reduced *mna.System
-	V       *linalg.Matrix
-	Full    *mna.System
-	Order   int
-}
-
-// Snapshot exports the cache's completed reductions.
-func (rc *ROMCache) Snapshot() []ROMEntry {
-	if rc == nil {
-		return nil
-	}
-	var out []ROMEntry
-	for k, rom := range rc.roms.Snapshot() {
-		e := ROMEntry{System: k.sys, Q: k.q, Reduced: rom.Reduced, V: rom.V, Order: rom.Order}
-		if full := rom.Full(); full != rom.Reduced {
-			e.Full = full
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// Seed installs persisted reductions, skipping entries that fail to
-// restore (a malformed store entry costs a warm hit, not the run).
-func (rc *ROMCache) Seed(entries []ROMEntry) {
-	if rc == nil {
-		return
-	}
-	for _, e := range entries {
-		rom, err := mor.Restore(e.Reduced, e.V, e.Full, e.Order)
-		if err != nil {
-			continue
-		}
-		rc.roms.Seed(romKey{e.System, e.Q}, rom)
-	}
-}
-
-// Len reports the resident reduction count.
-func (rc *ROMCache) Len() int {
-	if rc == nil {
-		return 0
-	}
-	return rc.roms.Len()
 }

@@ -2,16 +2,12 @@ package delaynoise_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/delaynoise"
 	"repro/internal/device"
-	"repro/internal/linalg"
 	"repro/internal/metrics"
-	"repro/internal/mna"
 	"repro/internal/thevenin"
-	"repro/internal/waveform"
 )
 
 // A snapshot taken from one cache and seeded into a fresh one must make
@@ -92,91 +88,5 @@ func TestCharSeedDoesNotClobberResident(t *testing.T) {
 	}
 	if got != resident {
 		t.Fatal("Seed clobbered a resident entry")
-	}
-}
-
-func ladder(t *testing.T, n int) *mna.System {
-	t.Helper()
-	g := linalg.NewMatrix(n, n)
-	c := linalg.NewMatrix(n, n)
-	b := linalg.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		g.Add(i, i, 2)
-		if i+1 < n {
-			g.Add(i, i+1, -1)
-			g.Add(i+1, i, -1)
-		}
-		c.Add(i, i, 1e-15)
-	}
-	b.Add(0, 0, 1)
-	in := waveform.New([]float64{0, 1e-9}, []float64{0, 1.8})
-	sys, err := mna.NewSystem(g, c, b, []*waveform.PWL{in}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-func TestROMSnapshotSeedsWarmHits(t *testing.T) {
-	sys := ladder(t, 8)
-	reg1 := metrics.NewRegistry()
-	rc1 := delaynoise.NewROMCache(reg1)
-	rom1, err := rc1.Reduce(context.Background(), sys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := rc1.Snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("Snapshot has %d entries, want 1", len(entries))
-	}
-
-	reg2 := metrics.NewRegistry()
-	rc2 := delaynoise.NewROMCache(reg2)
-	rc2.Seed(entries)
-	if rc2.Len() != 1 {
-		t.Fatalf("seeded ROM cache Len = %d, want 1", rc2.Len())
-	}
-	rom2, err := rc2.Reduce(context.Background(), sys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := reg2.Counter("cache.rom.hit").Value(); hits != 1 {
-		t.Fatalf("cache.rom.hit = %d, want 1 (seeded reduction must hit)", hits)
-	}
-	if rom2.Order != rom1.Order || !reflect.DeepEqual(rom2.V, rom1.V) {
-		t.Fatal("seeded ROM differs from the original reduction")
-	}
-}
-
-func TestROMSnapshotPreservesIdentityProjection(t *testing.T) {
-	sys := ladder(t, 3)
-	rc := delaynoise.NewROMCache(nil)
-	rom, err := rc.Reduce(context.Background(), sys, 99) // q >= n: identity
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rom.Full() != rom.Reduced {
-		t.Fatal("identity projection must alias full and reduced")
-	}
-	entries := rc.Snapshot()
-	if len(entries) != 1 || entries[0].Full != nil {
-		t.Fatalf("identity projection must persist with Full omitted, got %+v", entries)
-	}
-	rc2 := delaynoise.NewROMCache(nil)
-	rc2.Seed(entries)
-	rom2, err := rc2.Reduce(context.Background(), sys, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rom2.Full() != rom2.Reduced {
-		t.Fatal("aliasing must survive the snapshot/seed round-trip")
-	}
-}
-
-func TestROMSeedSkipsMalformedEntries(t *testing.T) {
-	rc := delaynoise.NewROMCache(nil)
-	rc.Seed([]delaynoise.ROMEntry{{System: 1, Q: 2}}) // nil Reduced/V: skipped
-	if rc.Len() != 0 {
-		t.Fatal("malformed entries must be skipped, not installed")
 	}
 }

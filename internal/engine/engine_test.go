@@ -22,16 +22,16 @@ func TestConfigDefaults(t *testing.T) {
 	if s.Lib() == nil || s.Metrics() == nil {
 		t.Fatal("zero config must install a library and registry")
 	}
-	if s.Chars() == nil || s.ROMs() == nil {
+	if s.Chars() == nil {
 		t.Fatal("caches must be on by default")
 	}
 	if _, err := s.Cell("INVX2"); err != nil {
 		t.Fatalf("cell lookup failed: %v", err)
 	}
 
-	off := engine.New(engine.Config{CharCacheRes: -1, DisableROMCache: true})
-	if off.Chars() != nil || off.ROMs() != nil {
-		t.Fatal("cache opt-outs ignored")
+	off := engine.New(engine.Config{CharCacheRes: -1})
+	if off.Chars() != nil {
+		t.Fatal("cache opt-out ignored")
 	}
 
 	lib := device.NewLibrary(device.Default180())
@@ -89,7 +89,7 @@ func TestSessionTableCache(t *testing.T) {
 func TestBindWiresCachesWithoutClobberingKnobs(t *testing.T) {
 	s := engine.New(engine.Config{})
 	opt := s.Bind(delaynoise.Options{Hold: delaynoise.HoldTransient, Align: delaynoise.AlignPrechar})
-	if opt.Chars != s.Chars() || opt.ROMs != s.ROMs() || opt.Metrics != s.Metrics() {
+	if opt.Chars != s.Chars() || opt.Metrics != s.Metrics() {
 		t.Fatal("Bind must wire the session caches and registry")
 	}
 	if opt.Hold != delaynoise.HoldTransient || opt.Align != delaynoise.AlignPrechar {

@@ -1,8 +1,8 @@
 // Package engine is the shared session core under the batch tool
 // (internal/clarinet) and everything built on it. A Session owns the
-// technology, its cell library, the metrics registry, and the three
-// single-flight caches — alignment pre-characterization tables, driver
-// characterizations, and PRIMA reduced-order models.
+// technology, its cell library, the metrics registry, and the two
+// single-flight caches — alignment pre-characterization tables and
+// driver characterizations.
 //
 // Callers are thin views: Bind wires a Session into one run's
 // delaynoise options, clarinet.Tool fans a Session across a worker
@@ -49,8 +49,6 @@ type Config struct {
 	// driver-characterization cache (zero selects
 	// delaynoise.DefaultCharBucketRes). Negative disables the cache.
 	CharCacheRes float64
-	// DisableROMCache turns off PRIMA reduced-order-model sharing.
-	DisableROMCache bool
 }
 
 // tableKey identifies one receiver pre-characterization.
@@ -71,7 +69,6 @@ type Session struct {
 
 	tables *memo.Cache[tableKey, *align.Table]
 	chars  *delaynoise.CharCache
-	roms   *delaynoise.ROMCache
 }
 
 // SetTopology records the workload's stage-graph topology hash in the
@@ -106,9 +103,6 @@ func New(cfg Config) *Session {
 	if cfg.CharCacheRes >= 0 {
 		s.chars = delaynoise.NewCharCache(cfg.CharCacheRes, reg)
 	}
-	if !cfg.DisableROMCache {
-		s.roms = delaynoise.NewROMCache(reg)
-	}
 	return s
 }
 
@@ -130,14 +124,10 @@ func (s *Session) Cell(name string) (*device.Cell, error) {
 // disabled by Config.CharCacheRes < 0).
 func (s *Session) Chars() *delaynoise.CharCache { return s.chars }
 
-// ROMs returns the shared reduced-order-model cache (nil when disabled).
-func (s *Session) ROMs() *delaynoise.ROMCache { return s.roms }
-
 // Bind wires the session's caches and registry into per-run analysis
 // options, leaving every other knob untouched.
 func (s *Session) Bind(opt delaynoise.Options) delaynoise.Options {
 	opt.Chars = s.chars
-	opt.ROMs = s.roms
 	opt.Metrics = s.metrics
 	return opt
 }

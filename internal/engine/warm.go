@@ -1,8 +1,8 @@
 package engine
 
-// Warm start: a Session's expensive derived state — alignment tables,
-// driver characterizations, and PRIMA reductions — saved to and loaded
-// from a content-addressed warmstore. The store key is derived from
+// Warm start: a Session's expensive derived state — alignment tables
+// and driver characterizations — saved to and loaded from a
+// content-addressed warmstore. The store key is derived from
 // WarmIdentity, which captures everything that state depends on, so a
 // session never loads state computed under a different technology,
 // library, or characterization configuration: such state lives under a
@@ -39,8 +39,8 @@ type Identity struct {
 }
 
 // WarmIdentity captures everything the session's cached state depends
-// on. Two sessions with equal identities compute interchangeable tables,
-// characterizations, and reductions.
+// on. Two sessions with equal identities compute interchangeable tables
+// and characterizations.
 func (s *Session) WarmIdentity() Identity {
 	return Identity{
 		Tech:     s.tech.Name,
@@ -89,7 +89,6 @@ type warmTable struct {
 type warmState struct {
 	Tables []warmTable
 	Chars  *delaynoise.CharSnapshot
-	ROMs   []delaynoise.ROMEntry
 }
 
 // SaveWarm persists the session's current derived state under its
@@ -99,7 +98,7 @@ func (s *Session) SaveWarm(st *warmstore.Store) error {
 	if st == nil {
 		return nil
 	}
-	state := warmState{Chars: s.chars.Snapshot(), ROMs: s.roms.Snapshot()}
+	state := warmState{Chars: s.chars.Snapshot()}
 	for k, tab := range s.tables.Snapshot() {
 		state.Tables = append(state.Tables, warmTable{Cell: k.cell, Rising: k.rising, Table: tab})
 	}
@@ -122,6 +121,5 @@ func (s *Session) LoadWarm(st *warmstore.Store) (bool, error) {
 		}
 	}
 	s.chars.Seed(state.Chars)
-	s.roms.Seed(state.ROMs)
 	return true, nil
 }

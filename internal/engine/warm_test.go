@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -112,5 +113,74 @@ func TestLoadWarmMissAndNilStore(t *testing.T) {
 	}
 	if err := s.SaveWarm(nil); err != nil {
 		t.Fatalf("SaveWarm to nil store: %v", err)
+	}
+}
+
+// legacyROMs is one PRIMA reduction in the layout stores carried while
+// the session cached reduced-order models: content hash, order, reduced
+// and full MNA systems, and the projection basis.
+const legacyROMs = `[{"System":1234567,"Q":1,
+  "Reduced":{"G":{"Rows":1,"Cols":1,"Data":[2]},"C":{"Rows":1,"Cols":1,"Data":[1e-15]},
+    "B":{"Rows":1,"Cols":1,"Data":[1]},"Inputs":[{"T":[0,1e-9],"V":[0,1.8]}],"Nodes":["n1"]},
+  "V":{"Rows":2,"Cols":1,"Data":[1,0]},
+  "Full":{"G":{"Rows":2,"Cols":2,"Data":[2,-1,-1,2]},"C":{"Rows":2,"Cols":2,"Data":[1e-15,0,0,1e-15]},
+    "B":{"Rows":2,"Cols":1,"Data":[1,0]},"Inputs":[{"T":[0,1e-9],"V":[0,1.8]}],"Nodes":["n1","n2"]},
+  "Order":1}]`
+
+// A store entry written in the older layout, with its "ROMs" array,
+// must still warm-start a session: the tables and characterizations
+// seed and hit, and the entry does not count as corrupt.
+func TestLoadWarmAcceptsLegacyROMEntries(t *testing.T) {
+	storeReg := metrics.NewRegistry()
+	st, err := warmstore.Open(t.TempDir(), storeReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := engine.New(engine.Config{PrecharGrid: 5})
+	cell, err := cold.Cell("INVX2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Table(context.Background(), cell, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Chars().RoughFit(context.Background(), cell, 80e-12, true, 30e-15); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.SaveWarm(st); err != nil {
+		t.Fatal(err)
+	}
+	var entry map[string]json.RawMessage
+	if ok, err := st.Load(cold.WarmKey(), &entry); err != nil || !ok {
+		t.Fatalf("reading the saved entry = (%v, %v)", ok, err)
+	}
+	entry["ROMs"] = json.RawMessage(legacyROMs)
+	if err := st.Save(cold.WarmKey(), entry); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	warm := engine.New(engine.Config{PrecharGrid: 5, Metrics: reg})
+	if ok, err := warm.LoadWarm(st); err != nil || !ok {
+		t.Fatalf("LoadWarm = (%v, %v), want hit", ok, err)
+	}
+	if got := storeReg.Counter("store.corrupt").Value(); got != 0 {
+		t.Fatalf("store.corrupt = %d, want 0", got)
+	}
+	if warm.TableCount() != 1 || warm.Chars().Len() != cold.Chars().Len() {
+		t.Fatalf("seeded %d tables / %d char entries, want 1 / %d",
+			warm.TableCount(), warm.Chars().Len(), cold.Chars().Len())
+	}
+	if _, err := warm.Table(context.Background(), cell, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Chars().RoughFit(context.Background(), cell, 80e-12, true, 30e-15); err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg.Counter("cache.tables.hit").Value(); hits != 1 {
+		t.Fatalf("cache.tables.hit = %d, want 1", hits)
+	}
+	if hits := reg.Counter("cache.char.rough.hit").Value(); hits != 1 {
+		t.Fatalf("cache.char.rough.hit = %d, want 1", hits)
 	}
 }

@@ -9,7 +9,6 @@
 package mna
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/linalg"
@@ -190,37 +189,4 @@ func (s *System) DC(t0 float64) ([]float64, error) {
 		return nil, fmt.Errorf("mna: DC solve failed (floating node?): %w", err)
 	}
 	return x, nil
-}
-
-// systemJSON is the persisted shape of a System: the exported state only
-// (the node-index map is derived).
-type systemJSON struct {
-	G, C, B *linalg.Matrix
-	Inputs  []*waveform.PWL
-	Nodes   []string
-}
-
-// MarshalJSON lets a System persist to a warm-start store; float matrix
-// entries round-trip bit-exactly through encoding/json.
-func (s *System) MarshalJSON() ([]byte, error) {
-	return json.Marshal(systemJSON{G: s.G, C: s.C, B: s.B, Inputs: s.Inputs, Nodes: s.Nodes})
-}
-
-// UnmarshalJSON restores a persisted System, rebuilding the derived node
-// index and revalidating shapes through NewSystem (a corrupt or
-// hand-edited store entry fails here instead of panicking mid-solve).
-func (s *System) UnmarshalJSON(b []byte) error {
-	var raw systemJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	if raw.G == nil || raw.C == nil || raw.B == nil {
-		return noiseerr.Invalidf("mna: persisted system missing matrices")
-	}
-	restored, err := NewSystem(raw.G, raw.C, raw.B, raw.Inputs, raw.Nodes)
-	if err != nil {
-		return err
-	}
-	*s = *restored
-	return nil
 }

@@ -253,13 +253,16 @@ func serve[T, R, S any](s *Server, w http.ResponseWriter, r *http.Request, u *un
 		return
 	}
 
+	pol := s.requestPolicy(opt)
+	if opt.NetTimeout > 0 {
+		pol.NetTimeout = opt.NetTimeout
+	}
 	tool, err := clarinet.New(nil, clarinet.Config{
 		Session:    s.session,
 		Hold:       opt.Hold,
 		Align:      opt.Align,
 		Workers:    s.cfg.Workers,
-		Resilience: s.requestPolicy(opt),
-		NetTimeout: opt.NetTimeout,
+		Resilience: pol,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

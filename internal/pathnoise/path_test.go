@@ -10,7 +10,10 @@ import (
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/journal"
+	"repro/internal/nlsim"
+	"repro/internal/noiseerr"
 	"repro/internal/pathnoise"
+	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
@@ -331,5 +334,58 @@ func TestValidateRejectsBrokenChain(t *testing.T) {
 	}
 	if err := pathnoise.ValidatePaths([]*pathnoise.Path{p, {Name: p.Name, Stages: p.Stages}}); err == nil {
 		t.Fatal("duplicate path names accepted")
+	}
+}
+
+// TestStagePanicFailsOnlyItsPath makes one stage's receiver solve panic
+// at a real nlsim checkpoint. The panic must stay inside that path: it
+// ends with a journaled internal-class Done record, counts in
+// nets.panicked, and every other path finishes.
+func TestStagePanicFailsOnlyItsPath(t *testing.T) {
+	paths, lib := pathPopulation(t, 3, 2, 5)
+	poisoned := paths[1].Stages[1].Net
+	restore := nlsim.SetCheckpointHook(func(ctx context.Context, _ float64) error {
+		if resilience.NetName(ctx) == poisoned {
+			panic("injected stage panic")
+		}
+		return nil
+	})
+	defer restore()
+
+	tool := pathTool(t, lib, 2)
+	var recs []pathnoise.StageRecord
+	reports, err := pathnoise.Run(context.Background(), tool, paths, pathnoise.Options{
+		MaxIterations: 1,
+		Emit:          func(rec pathnoise.StageRecord) { recs = append(recs, rec) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		if i == 1 {
+			if !rep.Failed() || rep.Class != noiseerr.ClassName(noiseerr.ErrInternal) {
+				t.Fatalf("poisoned path = class %q error %q, want an internal failure", rep.Class, rep.Error)
+			}
+			continue
+		}
+		if rep.Failed() {
+			t.Fatalf("path %s failed alongside the poisoned one: %s", rep.Name, rep.Error)
+		}
+	}
+	var last pathnoise.StageRecord
+	for _, rec := range recs {
+		if rec.Path == paths[1].Name {
+			last = rec
+		}
+	}
+	if !last.Done || last.Stage != 1 || last.Net != poisoned || last.Class != noiseerr.ClassName(noiseerr.ErrInternal) {
+		t.Fatalf("poisoned path's terminal record = %+v, want an internal Done record for %s", last, poisoned)
+	}
+	m := tool.Metrics()
+	if got := m.Counter("nets.panicked").Value(); got != 1 {
+		t.Fatalf("nets.panicked = %d, want 1", got)
+	}
+	if got := m.Counter("paths.failed").Value(); got != 1 {
+		t.Fatalf("paths.failed = %d, want 1", got)
 	}
 }

@@ -207,7 +207,13 @@ func (r *runner) step(ps *pathState) (more bool) {
 			return !done && r.advance(ps, prior)
 		}
 	}
-	rec, err := r.execute(ps)
+	// A panicking stage fails its path like any stage error; the other
+	// paths, and the process serving them, keep running.
+	var rec StageRecord
+	err := r.tool.Contain(ps.path.Stages[ps.stage].Net, func() (err error) {
+		rec, err = r.execute(ps)
+		return err
+	})
 	if err != nil {
 		return r.fail(ps, err)
 	}

@@ -5,6 +5,7 @@ package rcnet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netlist"
 	"repro/internal/noiseerr"
@@ -77,11 +78,21 @@ func Couple(ckt *netlist.Circuit, name string, a, b []string, cc, from, to float
 	}
 }
 
+// MaxSegments bounds LineSpec.Segments: a small spec cannot ask for a huge ladder.
+const MaxSegments = 1000
+
 // Validate reports, as an ErrInvalidCase-classified error, why Line
-// would reject spec.
+// would reject spec: a segment count outside [1, MaxSegments], a
+// resistance that is not positive and finite, or a ground capacitance
+// that is negative or not finite (NaN included).
 func (spec LineSpec) Validate() error {
-	if spec.Segments < 1 {
-		return noiseerr.Invalidf("rcnet: line %q needs >= 1 segment", spec.Name)
+	switch {
+	case spec.Segments < 1 || spec.Segments > MaxSegments:
+		return noiseerr.Invalidf("rcnet: line %q needs 1 to %d segments, got %d", spec.Name, MaxSegments, spec.Segments)
+	case !(spec.RTotal > 0) || math.IsInf(spec.RTotal, 1):
+		return noiseerr.Invalidf("rcnet: line %q resistance %g is not positive and finite", spec.Name, spec.RTotal)
+	case !(spec.CGround >= 0) || math.IsInf(spec.CGround, 1):
+		return noiseerr.Invalidf("rcnet: line %q ground capacitance %g is not non-negative and finite", spec.Name, spec.CGround)
 	}
 	return nil
 }
@@ -121,6 +132,9 @@ func (spec CoupledSpec) Validate() error {
 		}
 		if err := validSpan(agg.From, agg.To); err != nil {
 			return fmt.Errorf("aggressor %d: %w", i, err)
+		}
+		if !(agg.CCouple >= 0) || math.IsInf(agg.CCouple, 1) {
+			return noiseerr.Invalidf("rcnet: aggressor %d coupling %g is not non-negative and finite", i, agg.CCouple)
 		}
 	}
 	return nil

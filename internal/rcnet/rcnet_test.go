@@ -256,13 +256,21 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, edit := range map[string]func(*TreeSpec){
-		"victim segments":    func(s *TreeSpec) { s.Coupled.Victim.Segments = 0 },
-		"aggressor segments": func(s *TreeSpec) { s.Coupled.Aggressors[0].Line.Segments = -1 },
-		"reversed span":      func(s *TreeSpec) { s.Coupled.Aggressors[0].From, s.Coupled.Aggressors[0].To = 1, 0 },
-		"NaN span":           func(s *TreeSpec) { s.Coupled.Aggressors[0].From = math.NaN() },
-		"tap past the end":   func(s *TreeSpec) { s.Branches[0].At = 1.5 },
-		"NaN tap":            func(s *TreeSpec) { s.Branches[0].At = math.NaN() },
-		"branch segments":    func(s *TreeSpec) { s.Branches[0].Line.Segments = 0 },
+		"victim segments":     func(s *TreeSpec) { s.Coupled.Victim.Segments = 0 },
+		"aggressor segments":  func(s *TreeSpec) { s.Coupled.Aggressors[0].Line.Segments = -1 },
+		"reversed span":       func(s *TreeSpec) { s.Coupled.Aggressors[0].From, s.Coupled.Aggressors[0].To = 1, 0 },
+		"NaN span":            func(s *TreeSpec) { s.Coupled.Aggressors[0].From = math.NaN() },
+		"tap past the end":    func(s *TreeSpec) { s.Branches[0].At = 1.5 },
+		"NaN tap":             func(s *TreeSpec) { s.Branches[0].At = math.NaN() },
+		"branch segments":     func(s *TreeSpec) { s.Branches[0].Line.Segments = 0 },
+		"too many segments":   func(s *TreeSpec) { s.Coupled.Victim.Segments = MaxSegments + 1 },
+		"zero resistance":     func(s *TreeSpec) { s.Coupled.Victim.RTotal = 0 },
+		"NaN resistance":      func(s *TreeSpec) { s.Coupled.Aggressors[0].Line.RTotal = math.NaN() },
+		"infinite resistance": func(s *TreeSpec) { s.Coupled.Victim.RTotal = math.Inf(1) },
+		"negative ground cap": func(s *TreeSpec) { s.Branches[0].Line.CGround = -1e-15 },
+		"NaN ground cap":      func(s *TreeSpec) { s.Coupled.Victim.CGround = math.NaN() },
+		"negative coupling":   func(s *TreeSpec) { s.Coupled.Aggressors[0].CCouple = -1e-15 },
+		"NaN coupling":        func(s *TreeSpec) { s.Coupled.Aggressors[0].CCouple = math.NaN() },
 	} {
 		bad := good
 		bad.Coupled.Aggressors = []AggressorSpec{agg}

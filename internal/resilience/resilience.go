@@ -16,8 +16,7 @@
 //     bounded number of times.
 //  3. "prechar": fall back to precharacterized alignment — the bounded,
 //     pessimistic answer the paper's flow degrades to when the
-//     nonlinear search cannot be trusted (Config.FallbackToPrechar in
-//     earlier revisions).
+//     nonlinear search cannot be trusted.
 //
 // A net that succeeds on the first pass is QualityExact; one saved by a
 // solver rung is QualityRescued; one saved by the prechar rung is
@@ -111,11 +110,12 @@ type Policy struct {
 	SourceSteps  int
 	StepHalvings int
 	// FallbackToPrechar enables the final, always-converging prechar
-	// alignment rung (the generalization of the former
-	// clarinet.Config.FallbackToPrechar flag).
+	// alignment rung; its retries count in nets.fallback.
 	FallbackToPrechar bool
 	// NetTimeout bounds each net's analysis, rescue attempts included.
-	// Zero means no per-net deadline.
+	// Zero means no per-net deadline. A net that overruns it fails with
+	// the noiseerr.ErrDeadline class (nets.deadline) while the batch
+	// keeps running.
 	NetTimeout time.Duration
 }
 
